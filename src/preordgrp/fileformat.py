@@ -16,7 +16,8 @@ integers, "#" starts a comment:
     cone <indices>          zero or more lines of generator indices
 
     morphism <name> : <dom> -> <cod>
-    matrix                  abelian: followed by one row per domain rank
+    matrix                  abelian: followed by one row per domain rank,
+                            no row lines when the codomain has rank 0
     map <indices>           finite: image of every element in order
 
 Every printed block re-loads to a structurally equal entity.
@@ -150,8 +151,10 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
     if tokens == ["matrix"]:
         if dom.universe != po.ABELIAN:
             raise ParseError("'matrix' needs abelian endpoints", lineno)
-        rows = []
-        for _ in range(dom.group.rank):
+        # Rows into a rank-0 codomain are empty and print as blank lines,
+        # which are not significant; no row lines follow then.
+        rows = [] if cod.group.rank else [[]] * dom.group.rank
+        while len(rows) < dom.group.rank:
             if cur.done():
                 raise ParseError(f"matrix needs {dom.group.rank} rows", lineno)
             row_lineno, row_tokens = cur.take()

@@ -12,9 +12,14 @@ Conventions fixed here and relied on elsewhere:
     nonnegative, each entry dividing the next.
   * hilbert_basis(a) returns the minimal nonzero solutions of a * x = 0,
     x >= 0, via the Contejean-Devie completion procedure.
+  * nonneg_search(g, m, x) returns nonneg_feasible's answer with the
+    number of completion states visited: every state_cap at least that
+    number gives the same answer, every smaller one raises
+    ResourceLimitError.  preord's membership cache relies on this.
 """
 
 from dataclasses import dataclass
+from operator import add, ge, mul
 
 from .errors import DimensionError, ResourceLimitError
 
@@ -402,6 +407,59 @@ def unimodular_inverse(v: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=v.rows)
 
 
+def _hilbert_completion(system: IntMatrix, state_cap: int, early) -> tuple[tuple[Vec, ...], int]:
+    """hilbert_basis and the number of states visited, the same states as
+    the plain loop kept in tests/hilbert_reference.py visits."""
+    nvars = system.cols
+    cols = [system.col(j) for j in range(nvars)]
+    zero_val = (0,) * system.rows
+
+    basis: list[Vec] = []
+    # by_coord[i][v]: the basis elements b with b[i] == v > 0.
+    by_coord: list[dict[int, list[Vec]]] = [{} for _ in range(nvars)]
+    frontier: dict[Vec, Vec] = {}
+    for i in range(nvars):
+        t = tuple(1 if j == i else 0 for j in range(nvars))
+        frontier[t] = cols[i]
+    visited = len(frontier)
+    if visited > state_cap:
+        raise ResourceLimitError(f"Hilbert completion exceeded {state_cap} states")
+
+    while frontier:
+        solved = sorted(t for t, val in frontier.items() if val == zero_val)
+        for b in solved:
+            basis.append(b)
+            for i, v in enumerate(b):
+                if v:
+                    by_coord[i].setdefault(v, []).append(b)
+        if early is not None and any(early(s) for s in solved):
+            return tuple(sorted(basis)), visited
+        # The next level's key set does not depend on the order t is taken in.
+        nxt: dict[Vec, Vec] = {}
+        while frontier:
+            t, val = frontier.popitem()
+            if val == zero_val:
+                continue
+            for i, col in enumerate(cols):
+                if sum(map(mul, val, col)) >= 0:
+                    continue
+                v = t[i] + 1
+                s = t[:i] + (v,) + t[i + 1 :]
+                if s in nxt:
+                    continue
+                # No basis element lies below t, so one below s = t + e_i
+                # must agree with s in coordinate i.
+                rivals = by_coord[i].get(v)
+                if rivals and any(all(map(ge, s, b)) for b in rivals):
+                    continue
+                nxt[s] = tuple(map(add, val, col))
+        visited += len(nxt)
+        if visited > state_cap:
+            raise ResourceLimitError(f"Hilbert completion exceeded {state_cap} states")
+        frontier = nxt
+    return tuple(sorted(basis)), visited
+
+
 def hilbert_basis(
     system: IntMatrix, state_cap: int = HILBERT_STATE_CAP, early=None
 ) -> tuple[Vec, ...]:
@@ -418,45 +476,7 @@ def hilbert_basis(
     and the basis returned so far may be incomplete; existence queries
     use this to avoid completing the enumeration.
     """
-    nvars = system.cols
-    neqs = system.rows
-    cols = [system.col(j) for j in range(nvars)]
-    zero_val = (0,) * neqs
-
-    basis: list[Vec] = []
-    frontier: dict[Vec, Vec] = {}
-    for i in range(nvars):
-        t = tuple(1 if j == i else 0 for j in range(nvars))
-        frontier[t] = cols[i]
-    visited = len(frontier)
-    if visited > state_cap:
-        raise ResourceLimitError(f"Hilbert completion exceeded {state_cap} states")
-
-    while frontier:
-        solved = sorted(t for t, val in frontier.items() if val == zero_val)
-        basis.extend(solved)
-        if early is not None and any(early(s) for s in solved):
-            return tuple(sorted(basis))
-        nxt: dict[Vec, Vec] = {}
-        for t, val in frontier.items():
-            if val == zero_val:
-                continue
-            for i in range(nvars):
-                if vec_dot(val, cols[i]) >= 0:
-                    continue
-                s = tuple(t[j] + 1 if j == i else t[j] for j in range(nvars))
-                if s in nxt:
-                    continue
-                if any(all(sj >= bj for sj, bj in zip(s, b)) for b in basis):
-                    continue
-                nxt[s] = vec_add(val, cols[i])
-        visited += len(nxt)
-        if visited > state_cap:
-            raise ResourceLimitError(
-                f"Hilbert completion exceeded {state_cap} states"
-            )
-        frontier = nxt
-    return tuple(sorted(basis))
+    return _hilbert_completion(system, state_cap, early)[0]
 
 
 def monoid_zero_solutions(
@@ -493,6 +513,38 @@ def monoid_zero_solutions(
     return tuple(sorted(out))
 
 
+def nonneg_search(
+    gens: IntMatrix,
+    modulus: IntMatrix,
+    x: Vec,
+    state_cap: int = HILBERT_STATE_CAP,
+) -> tuple[tuple[Vec, Vec] | None, int]:
+    """nonneg_feasible's answer and the number of Hilbert states it visited."""
+    k, n = gens.rows, gens.cols
+    r = modulus.rows
+    if len(x) != n or modulus.cols != n:
+        raise DimensionError("dimension mismatch in nonneg_feasible")
+    if vec_is_zero(x):
+        return ((0,) * k, (0,) * r), 0
+    rows = [gens.row(i) for i in range(k)]
+    rows += [modulus.row(j) for j in range(r)]
+    rows += [vec_neg(modulus.row(j)) for j in range(r)]
+    rows.append(vec_neg(x))
+    system = IntMatrix.from_rows(rows, cols=n).transpose()
+    basis, visited = _hilbert_completion(system, state_cap, early=lambda s: s[-1] == 1)
+    for sol in basis:
+        if sol[-1] != 1:
+            continue
+        a = sol[:k]
+        t = tuple(p - q for p, q in zip(sol[k : k + r], sol[k + r : k + 2 * r]))
+        got = row_times_matrix(a, gens) if k else (0,) * n
+        if r:
+            got = vec_add(got, row_times_matrix(t, modulus))
+        assert got == x, "homogenization produced an invalid certificate"
+        return (a, t), visited
+    return None, visited
+
+
 def nonneg_feasible(
     gens: IntMatrix,
     modulus: IntMatrix,
@@ -507,25 +559,4 @@ def nonneg_feasible(
     coordinates of a decomposition of any solution with s = 1 sum to 1.
     The returned certificate is re-checked by exact back-substitution.
     """
-    k, n = gens.rows, gens.cols
-    r = modulus.rows
-    if len(x) != n or modulus.cols != n:
-        raise DimensionError("dimension mismatch in nonneg_feasible")
-    if vec_is_zero(x):
-        return (0,) * k, (0,) * r
-    rows = [gens.row(i) for i in range(k)]
-    rows += [modulus.row(j) for j in range(r)]
-    rows += [vec_neg(modulus.row(j)) for j in range(r)]
-    rows.append(vec_neg(x))
-    system = IntMatrix.from_rows(rows, cols=n).transpose()
-    for sol in hilbert_basis(system, state_cap, early=lambda s: s[-1] == 1):
-        if sol[-1] != 1:
-            continue
-        a = sol[:k]
-        t = tuple(p - q for p, q in zip(sol[k : k + r], sol[k + r : k + 2 * r]))
-        got = row_times_matrix(a, gens) if k else (0,) * n
-        if r:
-            got = vec_add(got, row_times_matrix(t, modulus))
-        assert got == x, "homogenization produced an invalid certificate"
-        return a, t
-    return None
+    return nonneg_search(gens, modulus, x, state_cap)[0]

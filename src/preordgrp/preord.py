@@ -20,6 +20,14 @@ the comparison morphism onto the matching relative construction.
 Abelian cone membership proofs travel with morphisms as certificate rows
 (nonnegative coefficients over the codomain cone generators), so composing
 or re-checking morphisms never re-runs the membership search.
+
+Every abelian membership question goes through one oracle, cone_membership,
+behind one bounded LRU cache keyed on (gens, relations, x).  The cache is
+budget-exact, answering as the uncached search with the same state budget
+would: a decided answer is served only to budgets at least the number of
+states its search visited, UNDECIDED only to budgets no larger than the one
+that ran out.  Samplers and factorization checks call it through
+cone_image_certs.
 """
 
 from dataclasses import dataclass, field
@@ -27,15 +35,15 @@ from functools import lru_cache
 
 from . import fgabelian as ab
 from . import finitegroup as fg
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ResourceLimitError, ValidationError
 from .intmat import (
+    HILBERT_STATE_CAP,
     IntMatrix,
     Vec,
     hnf_reduced,
     monoid_zero_solutions,
-    nonneg_feasible,
+    nonneg_search,
     row_times_matrix,
-    vec_sub,
 )
 
 ABELIAN = "abelian"
@@ -101,10 +109,34 @@ def discrete_object(group) -> PreOrdObj:
     return make_object(group, ())
 
 
+# Answer of a membership query whose search ran out of its state budget.
+UNDECIDED = object()
+
+
 @lru_cache(maxsize=65536)
-def _feasible_cert(gens: IntMatrix, relations: IntMatrix, x: Vec):
-    got = nonneg_feasible(gens, relations, x)
-    return None if got is None else got[0]
+def _membership_record(gens: IntMatrix, relations: IntMatrix, x: Vec) -> list:
+    """The cache cell of one query, updated in place: [answer, states
+    visited], or [UNDECIDED, largest budget known to run out]."""
+    return [UNDECIDED, -1]
+
+
+def cone_membership(gens: IntMatrix, relations: IntMatrix, x: Vec, budget: int):
+    """Nonnegative coefficients c with x = c*gens modulo the relations'
+    lattice, None when there are none, or UNDECIDED when settling it takes
+    more than `budget` Hilbert states.  Cached; see the module docstring."""
+    record = _membership_record(gens, relations, x)
+    answer, states = record
+    if answer is UNDECIDED:
+        if budget <= states:
+            return UNDECIDED
+        try:
+            got, states = nonneg_search(gens, relations, x, budget)
+        except ResourceLimitError:
+            record[1] = budget
+            return UNDECIDED
+        answer = None if got is None else got[0]
+        record[:] = answer, states
+    return answer if budget >= states else UNDECIDED
 
 
 @lru_cache(maxsize=4096)
@@ -112,18 +144,43 @@ def _zero_solutions(gens: IntMatrix, relations: IntMatrix):
     return monoid_zero_solutions(gens, relations)
 
 
-def cone_certificate(obj: PreOrdObj, x) -> Vec | None:
-    """Nonnegative coefficients writing x over the cone generators, or None."""
+def cone_certificate(obj: PreOrdObj, x, budget: int | None = None):
+    """Nonnegative coefficients writing x over the cone generators, or None.
+
+    With a budget, a search needing more states returns UNDECIDED; without
+    one it may use HILBERT_STATE_CAP states and raises ResourceLimitError
+    beyond that.
+    """
     x = tuple(x)
     if ab.is_zero_element(obj.group, x):
         return (0,) * obj.cone.rows
-    return _feasible_cert(obj.cone, obj.group.reduced_relations, x)
+    limit = HILBERT_STATE_CAP if budget is None else budget
+    got = cone_membership(obj.cone, obj.group.reduced_relations, x, limit)
+    if got is UNDECIDED and budget is None:
+        raise ResourceLimitError(f"Hilbert completion exceeded {HILBERT_STATE_CAP} states")
+    return got
 
 
 def cone_contains(obj: PreOrdObj, x) -> bool:
     if obj.universe == FINITE:
         return x in obj.cone
     return cone_certificate(obj, x) is not None
+
+
+def cone_image_certs(dom: PreOrdObj, cod: PreOrdObj, mapping, budget: int):
+    """Certificates for the images of dom's cone generators under mapping.
+
+    Returns the tuple of certificates, or the first failure in generator
+    order: None for an image outside cod's cone, UNDECIDED for one whose
+    membership needs more than `budget` states.
+    """
+    certs = []
+    for i in range(dom.cone.rows):
+        cert = cone_certificate(cod, ab.apply(mapping, dom.cone.row(i)), budget)
+        if cert is None or cert is UNDECIDED:
+            return cert
+        certs.append(cert)
+    return tuple(certs)
 
 
 def _verify_cert(cod: PreOrdObj, y: Vec, cert) -> Vec:
@@ -239,11 +296,9 @@ def classify_morphism(f: PreOrdMor) -> MorphismClass:
         epi = ab.is_surjective(f.map)
         reg = False
         if epi:
-            image = f.dom.cone.mul(f.map.matrix)
-            rel = f.cod.group.reduced_relations
+            image = PreOrdObj(f.cod.group, f.dom.cone.mul(f.map.matrix))
             reg = all(
-                _feasible_cert(image, rel, f.cod.cone.row(k)) is not None
-                for k in range(f.cod.cone.rows)
+                cone_contains(image, f.cod.cone.row(k)) for k in range(f.cod.cone.rows)
             )
         return MorphismClass(mono, epi, reg)
     mono = fg.fin_is_injective(f.map)

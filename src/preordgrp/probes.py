@@ -15,8 +15,8 @@ from . import fgabelian as ab
 from . import finitegroup as fg
 from . import monpos as mp
 from . import preord as po
-from .errors import ResourceLimitError, ValidationError
-from .intmat import IntMatrix, hnf_reduced, in_rowspan_reduced, nonneg_feasible
+from .errors import ValidationError
+from .intmat import IntMatrix, hnf_reduced, in_rowspan_reduced
 from .rng import DetRng
 
 
@@ -224,32 +224,10 @@ def _cone_images_plausible(f: ab.AbMorphism, dom: po.PreOrdObj, cod: po.PreOrdOb
     return True
 
 
+# Membership budget per candidate: a candidate whose cone images are
+# expensive to certify is rejected like an invalid one, keeping the
+# sampler's cost bounded on adversarial cones.
 SAMPLER_STATE_CAP = 1_500
-
-
-def _budget_cone_certs(dom: po.PreOrdObj, cod: po.PreOrdObj, f: ab.AbMorphism):
-    """Membership certificates for the cone images, or None.
-
-    Gives the search a small state budget: a candidate whose membership
-    is expensive to settle is rejected like an invalid one, keeping the
-    sampler's cost bounded on adversarial cones.
-    """
-    certs = []
-    for i in range(dom.cone.rows):
-        img = ab.apply(f, dom.cone.row(i))
-        if ab.is_zero_element(cod.group, img):
-            certs.append((0,) * cod.cone.rows)
-            continue
-        try:
-            got = nonneg_feasible(
-                cod.cone, cod.group.reduced_relations, img, state_cap=SAMPLER_STATE_CAP
-            )
-        except ResourceLimitError:
-            return None
-        if got is None:
-            return None
-        certs.append(got[0])
-    return tuple(certs)
 
 
 def _random_abelian_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int):
@@ -264,8 +242,8 @@ def _random_abelian_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, 
             continue
         if not _cone_images_plausible(f, dom, cod):
             continue
-        certs = _budget_cone_certs(dom, cod, f)
-        if certs is None:
+        certs = po.cone_image_certs(dom, cod, f, SAMPLER_STATE_CAP)
+        if certs is None or certs is po.UNDECIDED:
             continue
         return po.PreOrdMor(dom, cod, f, certs)
     return po.zero_preord(dom, cod)

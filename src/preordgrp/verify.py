@@ -125,9 +125,13 @@ def make_suite(seed: int = 0, samples_per_pair: int = 50) -> ProbeSuite:
     return ProbeSuite(seed, samples_per_pair, objects, tuple(samples))
 
 
-@lru_cache(maxsize=8)
 def default_suite(seed: int = 0, samples_per_pair: int = 50) -> ProbeSuite:
-    return make_suite(seed, samples_per_pair)
+    """make_suite, built once per process for each (seed, samples_per_pair)."""
+    # Explicit arguments: default_suite(s) and default_suite(s, 50) share an entry.
+    return _cached_suite(seed, samples_per_pair)
+
+
+_cached_suite = lru_cache(maxsize=8)(make_suite)
 
 
 def suite_probes(suite: ProbeSuite, universe: str) -> tuple:
@@ -143,32 +147,12 @@ def _suite_pair_samples(suite: ProbeSuite, dom_name: str, cod_name: str) -> tupl
 
 # --- factorization solvers -------------------------------------------------
 
-# Result of a factorization attempt the search budget could not settle.
-# Callers skip the probe and count it instead of recording a witness.
-UNDECIDED = object()
-
+# Membership budgets of the factorization checks and of the mutants' cone
+# redundancy test, where skipping a candidate beats minutes of search.  A
+# factorization the budget cannot settle is po.UNDECIDED: callers skip the
+# probe and count it instead of recording a witness.
 _FACTOR_STATE_CAP = 50_000
-
-
-def _budget_preord_morphism(dom: po.PreOrdObj, cod: po.PreOrdObj, mapping):
-    """A cone-preserving morphism, None when some image is outside the
-    cone, or UNDECIDED when the membership budget runs out."""
-    certs = []
-    for i in range(dom.cone.rows):
-        img = ab.apply(mapping, dom.cone.row(i))
-        if ab.is_zero_element(cod.group, img):
-            certs.append((0,) * cod.cone.rows)
-            continue
-        try:
-            got = nonneg_feasible(
-                cod.cone, cod.group.reduced_relations, img, state_cap=_FACTOR_STATE_CAP
-            )
-        except ResourceLimitError:
-            return UNDECIDED
-        if got is None:
-            return None
-        certs.append(got[0])
-    return po.PreOrdMor(dom, cod, mapping, tuple(certs))
+_MUTANT_STATE_CAP = 4_000
 
 
 def _factor_through_mono(t: po.PreOrdMor, kobj: po.PreOrdObj, k: po.PreOrdMor):
@@ -177,9 +161,10 @@ def _factor_through_mono(t: po.PreOrdMor, kobj: po.PreOrdObj, k: po.PreOrdMor):
         phi = ab.factor_through_injection(t.map, k.map)
         if phi is None:
             return None
-        mor = _budget_preord_morphism(t.dom, kobj, phi)
-        if mor is None or mor is UNDECIDED:
-            return mor
+        certs = po.cone_image_certs(t.dom, kobj, phi, _FACTOR_STATE_CAP)
+        if certs is None or certs is po.UNDECIDED:
+            return certs
+        mor = po.PreOrdMor(t.dom, kobj, phi, certs)
     else:
         inverse = {}
         for x, y in enumerate(k.map.mapping):
@@ -226,21 +211,6 @@ def _factor_through_epi(s: po.PreOrdMor, qobj: po.PreOrdObj, q: po.PreOrdMor):
     if not po.mor_eq(po.compose_preord(q, mor), s):
         return None
     return mor
-
-
-def _budget_cone_contains(obj: po.PreOrdObj, x, cap: int = 4_000):
-    """Cone membership with a small search budget; None when undecided.
-
-    Mutant construction only needs membership on easy instances; skipping
-    a candidate beats spending minutes proving one row non-redundant.
-    """
-    if obj.universe == po.FINITE:
-        return x in obj.cone
-    try:
-        got = nonneg_feasible(obj.cone, obj.group.reduced_relations, x, state_cap=cap)
-    except ResourceLimitError:
-        return None
-    return got is not None
 
 
 _ZNAT = None  # (Z, natural cone), built lazily to keep import order simple
@@ -309,7 +279,7 @@ def _zker_witnesses(m, suite, candidate=None, probes_per_source=1):
         t = _element_probe(m.dom, element)
         _bump(stats, "targeted")
         phi = _factor_through_mono(t, kobj, k)
-        if phi is UNDECIDED:
+        if phi is po.UNDECIDED:
             _bump(stats, "undecided")
         elif phi is None:
             witnesses.append(f"{key}: cone element {element} does not factor")
@@ -322,7 +292,7 @@ def _zker_witnesses(m, suite, candidate=None, probes_per_source=1):
             _bump(stats, "sampled")
             vanishes = po.is_z_trivial(po.compose_preord(t, m))
             phi = _factor_through_mono(t, kobj, k)
-            if phi is UNDECIDED:
+            if phi is po.UNDECIDED:
                 _bump(stats, "undecided")
             elif vanishes and phi is None:
                 witnesses.append(f"{key}: probe {probe.name}#{j} cancels but does not factor")
@@ -356,7 +326,7 @@ def z_kernel_mutants(m: po.PreOrdMor):
             smaller = po.PreOrdObj(
                 kobj.group, IntMatrix.from_rows(kept, cols=kobj.cone.cols)
             )
-            if _budget_cone_contains(smaller, kobj.cone.row(i)) is False:
+            if po.cone_certificate(smaller, kobj.cone.row(i), _MUTANT_STATE_CAP) is None:
                 out.append(("cone-dropped", (smaller, po.PreOrdMor(smaller, m.dom, k.map))))
                 break
     else:
@@ -434,7 +404,7 @@ def _first_outside_cone(obj: po.PreOrdObj):
     for a, b in combinations_with_replacement(basis, 2):
         candidates.append(tuple(x + y for x, y in zip(a, b)))
     for y in candidates:
-        if not ab.is_zero_element(obj.group, y) and _budget_cone_contains(obj, y) is False:
+        if po.cone_certificate(obj, y, _MUTANT_STATE_CAP) is None:
             return y
     return None
 
@@ -720,9 +690,10 @@ def _pullback_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
         w = ab.factor_through_injection(pair, joint)
         if w is None:
             return None
-        mor = _budget_preord_morphism(a.dom, square.obj, w)
-        if mor is None or mor is UNDECIDED:
-            return mor
+        certs = po.cone_image_certs(a.dom, square.obj, w, _FACTOR_STATE_CAP)
+        if certs is None or certs is po.UNDECIDED:
+            return certs
+        mor = po.PreOrdMor(a.dom, square.obj, w, certs)
     else:
         mapping = a.map.mapping
         for x in range(a.dom.group.order):
@@ -780,7 +751,7 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
         b = po.compose_preord(t, po.PreOrdMor(true_square.obj, square.to_discrete.cod, true_square.to_discrete.map))
         _bump(stats, "targeted")
         w = _pullback_factor(square, a, b)
-        if w is UNDECIDED:
+        if w is po.UNDECIDED:
             _bump(stats, "undecided")
         elif w is None:
             witnesses.append(f"{key}: corner element {element} does not mediate")
@@ -792,7 +763,7 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
         b = po.compose_preord(u, square.to_discrete)
         w = _pullback_factor(square, a, b)
         _bump(stats, "sampled")
-        if w is UNDECIDED:
+        if w is po.UNDECIDED:
             _bump(stats, "undecided")
         elif w is None or not po.mor_eq(w, u):
             witnesses.append(f"{key}: probe {probe.name} does not mediate uniquely")
@@ -807,7 +778,7 @@ def pullback_mutant(m: po.PreOrdMor):
         for i in reversed(range(obj.cone.rows)):
             kept = [obj.cone.row(j) for j in range(obj.cone.rows) if j != i]
             smaller = po.PreOrdObj(obj.group, IntMatrix.from_rows(kept, cols=obj.cone.cols))
-            if _budget_cone_contains(smaller, obj.cone.row(i)) is not False:
+            if po.cone_certificate(smaller, obj.cone.row(i), _MUTANT_STATE_CAP) is not None:
                 continue
             return po.PullbackSquare(
                 smaller,
@@ -896,7 +867,7 @@ def pushout_mutant(m: po.PreOrdMor):
     for i in reversed(range(obj.cone.rows)):
         kept = [obj.cone.row(j) for j in range(obj.cone.rows) if j != i]
         smaller = po.PreOrdObj(obj.group, IntMatrix.from_rows(kept, cols=obj.cone.cols))
-        if _budget_cone_contains(smaller, obj.cone.row(i)) is not False:
+        if po.cone_certificate(smaller, obj.cone.row(i), _MUTANT_STATE_CAP) is not None:
             continue
         return po.PushoutSquare(
             smaller,
@@ -905,29 +876,6 @@ def pushout_mutant(m: po.PreOrdMor):
             po.PreOrdMor(square.comparison.dom, smaller, square.comparison.map),
         )
     return None
-
-
-def verify_gjm_characterizations(suite: ProbeSuite, extra_morphisms=()) -> Certificate:
-    """Relative kernels are pullbacks, relative cokernels are pushouts."""
-    stats = {}
-    witnesses = []
-    morphisms = list(extra_morphisms)
-    for dom_name, cod_name, mors in suite.morphism_samples:
-        cap = max(1, suite.samples_per_pair // 10)
-        morphisms.extend(mors[:cap])
-    for m in morphisms:
-        w, s = _pullback_witnesses(m, suite)
-        witnesses += w
-        _bump(stats, "pullbacks")
-        for label, count in s.items():
-            _bump(stats, f"pullback-{label}", count)
-        if m.dom.universe == po.ABELIAN:
-            w, s = _pushout_witnesses(m, suite)
-            witnesses += w
-            _bump(stats, "pushouts")
-            for label, count in s.items():
-                _bump(stats, f"pushout-{label}", count)
-    return _certificate("gjm", stats, witnesses)
 
 
 # --- torsion theory in the stable category ---------------------------------

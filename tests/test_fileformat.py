@@ -62,6 +62,21 @@ class TestRoundTrip:
         back = ff.parse_workspace(ff.format_object("triv", obj)).objects["triv"]
         assert back.group == obj.group
 
+    def test_morphism_into_rank_zero(self):
+        ws = ff.Workspace()
+        ws.objects["zz"] = po.make_object(ab.make_group(2, []), [[1, 0], [0, 1]])
+        ws.objects["triv"] = po.discrete_object(ab.make_group(0, []))
+        ws.objects["after"] = po.make_object(ab.make_group(1, []), [[1]])
+        ws.morphisms["f"] = po.zero_preord(ws.objects["zz"], ws.objects["triv"])
+        ws.endpoints["f"] = ("zz", "triv")
+        ws.morphisms["g"] = po.make_morphism(ws.objects["after"], ws.objects["after"], [[1]])
+        ws.endpoints["g"] = ("after", "after")
+        text = ff.format_workspace(ws)
+        back = ff.parse_workspace(text)
+        assert_same_workspace(ws, back)
+        assert back.morphisms["f"].map.matrix.rows == 2
+        assert ff.format_workspace(back) == text
+
     def test_comments_and_blank_lines(self):
         text = (
             "# leading comment\n\n"

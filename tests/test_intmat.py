@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbert_reference import reference_completion
+from preordgrp import preord as po
 from preordgrp.errors import DimensionError, ResourceLimitError
 from preordgrp.intmat import (
     IntMatrix,
@@ -18,6 +20,7 @@ from preordgrp.intmat import (
     left_kernel,
     monoid_zero_solutions,
     nonneg_feasible,
+    nonneg_search,
     row_times_matrix,
     smith_normal_form,
     solve_integer,
@@ -354,6 +357,102 @@ class TestNonnegFeasible:
                 if r:
                     got = vec_add(got, row_times_matrix(t, modulus))
                 assert got == x
+
+
+def _outcome(call):
+    """A search's answer, or UNDECIDED when it raises ResourceLimitError."""
+    try:
+        return call()
+    except ResourceLimitError:
+        return po.UNDECIDED
+
+
+class TestAgainstReferenceLoop:
+    """The tuned completion against a copy of the plain loop (tests/hilbert_reference.py)."""
+
+    def test_same_basis_and_raise_threshold(self):
+        rng = random.Random(2718)
+        decided = 0
+        for trial in range(40):
+            rows, cols = rng.randint(1, 2), rng.randint(4, 6)
+            m = IntMatrix.from_rows(
+                [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)], cols=cols
+            )
+            early = (lambda s: s[-1] == 1) if trial % 2 else None
+            ref = _outcome(lambda: reference_completion(m, 3_000, early))
+            if ref is po.UNDECIDED:
+                assert _outcome(lambda: hilbert_basis(m, 3_000, early)) is po.UNDECIDED
+                continue
+            decided += 1
+            basis, visited = ref
+            assert hilbert_basis(m, visited, early) == basis
+            with pytest.raises(ResourceLimitError):
+                hilbert_basis(m, visited - 1, early)
+            with pytest.raises(ResourceLimitError):
+                reference_completion(m, visited - 1, early)
+        assert decided >= 30
+
+    def test_membership_visits_as_many_states(self):
+        # nonneg_feasible homogenizes over (a, t+, t-, s); see its docstring.
+        rng = random.Random(314)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            mod = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            if not any(x):
+                continue
+            columns = gens + mod + [[-v for v in r] for r in mod] + [[-v for v in x]]
+            system = IntMatrix.from_rows(columns, cols=n).transpose()
+            ref = _outcome(lambda: reference_completion(system, 20_000, lambda s: s[-1] == 1))
+            got = _outcome(
+                lambda: nonneg_search(
+                    IntMatrix.from_rows(gens, cols=n), IntMatrix.from_rows(mod, cols=n), x, 20_000
+                )
+            )
+            assert (ref is po.UNDECIDED) == (got is po.UNDECIDED)
+            if ref is not po.UNDECIDED:
+                assert got[1] == ref[1]
+
+
+class TestMembershipOracle:
+    """preord.cone_membership answers exactly as the uncached search would."""
+
+    @staticmethod
+    def _queries(seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            n = rng.randint(1, 3)
+            gens = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 4))], cols=n
+            )
+            rels = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 1))], cols=n
+            )
+            x = tuple(rng.randint(-6, 6) for _ in range(n))
+            _, visited = nonneg_search(gens, rels, x)
+            if visited > 2:
+                out.append((gens, rels, x, visited))
+        return out
+
+    def test_budget_orders_match_uncached_search(self):
+        for gens, rels, x, visited in self._queries(99, 25):
+            budgets = sorted({0, 1, visited // 2, visited - 1, visited, visited + 1, 10 * visited})
+            expected = {}
+            for b in budgets:
+                got = _outcome(lambda: nonneg_feasible(gens, rels, x, b))
+                expected[b] = got if got is None or got is po.UNDECIDED else got[0]
+            shuffled = budgets[:]
+            random.Random(visited).shuffle(shuffled)
+            for order in (budgets, budgets[::-1], shuffled, [visited - 1, visited + 1, visited - 1]):
+                po._membership_record.cache_clear()
+                for b in order:
+                    got = po.cone_membership(gens, rels, x, b)
+                    if expected[b] is po.UNDECIDED:
+                        assert got is po.UNDECIDED, (gens, rels, x, b, order)
+                    else:
+                        assert got == expected[b], (gens, rels, x, b, order)
 
 
 class TestMonoidZeroSolutions:
