@@ -174,27 +174,26 @@ def present_subgroup(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
     return sub, incl
 
 
-def subgroup_generated(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
-    return present_subgroup(g, gen_rows)
-
-
 def kernel(f: AbMorphism) -> tuple[FgAbGroup, AbMorphism]:
     """Kernel subgroup with its inclusion, re-presented independently."""
     lat = preimage_lattice(f.matrix, f.cod.relations)
     return present_subgroup(f.dom, lat)
 
 
+def quotient(g: FgAbGroup, rows) -> tuple[FgAbGroup, AbMorphism]:
+    """g modulo the subgroup the rows generate; projection has identity matrix.
+
+    The reduced HNF of the stacked relations is canonical, so no subgroup
+    presentation is needed.
+    """
+    gens = rows if isinstance(rows, IntMatrix) else IntMatrix.from_rows(rows, cols=g.rank)
+    q = FgAbGroup(g.rank, hnf_reduced(g.relations.stack(gens)))
+    return q, AbMorphism(g, q, IntMatrix.identity(g.rank))
+
+
 def cokernel(f: AbMorphism) -> tuple[FgAbGroup, AbMorphism]:
-    """Quotient of the codomain by the image; projection has identity matrix."""
-    rel = hnf_reduced(f.cod.relations.stack(f.matrix))
-    q = FgAbGroup(f.cod.rank, rel)
-    return q, AbMorphism(f.cod, q, IntMatrix.identity(f.cod.rank))
-
-
-def quotient_by_subgroup(g: FgAbGroup, incl: AbMorphism) -> tuple[FgAbGroup, AbMorphism]:
-    if incl.cod != g:
-        raise ValidationError("inclusion does not land in the group being quotiented")
-    return cokernel(incl)
+    """Quotient of the codomain by the image."""
+    return quotient(f.cod, f.matrix)
 
 
 @dataclass(frozen=True)
@@ -284,19 +283,3 @@ def factor_through_surjection(
         return None
     return psi
 
-
-def factorization_unique_through(incl: AbMorphism) -> bool:
-    """Do any two factorizations through incl agree as morphisms?
-
-    Solutions of r * incl.matrix == x (mod ambient relations) differ by the
-    projection of the left kernel of the stacked system; uniqueness modulo
-    the subgroup presentation's relations is exactly that projection lying
-    in the relation lattice, which is also equivalent to incl being mono.
-    """
-    stacked = incl.matrix.stack(incl.cod.relations)
-    kern = left_kernel(stacked)
-    for i in range(kern.rows):
-        candidate = kern.row(i)[: incl.dom.rank]
-        if not is_zero_element(incl.dom, candidate):
-            return False
-    return True

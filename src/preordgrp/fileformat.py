@@ -149,7 +149,7 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
         raise ParseError("expected 'matrix' or 'map ...'", header_line)
     lineno, tokens = cur.take()
     if tokens == ["matrix"]:
-        if dom.universe != po.ABELIAN:
+        if dom.universe != po.ABELIAN or cod.universe != po.ABELIAN:
             raise ParseError("'matrix' needs abelian endpoints", lineno)
         # Rows into a rank-0 codomain are empty and print as blank lines,
         # which are not significant; no row lines follow then.
@@ -161,7 +161,7 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
             rows.append(_ints(row_tokens, row_lineno, cod.group.rank))
         mapping = rows
     elif tokens[0] == "map":
-        if dom.universe != po.FINITE:
+        if dom.universe != po.FINITE or cod.universe != po.FINITE:
             raise ParseError("'map' needs finite endpoints", lineno)
         mapping = tuple(_ints(tokens[1:], lineno, dom.group.order))
     else:

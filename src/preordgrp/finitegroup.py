@@ -157,9 +157,6 @@ class FinMorphism:
     cod: FiniteGroup
     mapping: tuple  # mapping[a] = image of a
 
-    def apply(self, a: int) -> int:
-        return self.mapping[a]
-
     def __repr__(self):
         return f"FinMorphism({self.dom.order} -> {self.cod.order}, {self.mapping})"
 
@@ -207,10 +204,6 @@ def fin_is_surjective(f: FinMorphism) -> bool:
 
 def kernel_set(f: FinMorphism) -> frozenset:
     return frozenset(a for a in range(f.dom.order) if f.mapping[a] == 0)
-
-
-def image_set(f: FinMorphism) -> frozenset:
-    return frozenset(f.mapping)
 
 
 def submonoid_closure(g: FiniteGroup, gens) -> frozenset:
@@ -330,10 +323,3 @@ def product_group(g: FiniteGroup, h: FiniteGroup, cap: int = ORDER_CAP) -> FinPr
     inj_r = FinMorphism(h, prod, tuple(range(m)))
     return FinProduct(prod, proj_l, proj_r, inj_l, inj_r)
 
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return all(
-        g.mul(a, b) == g.mul(b, a)
-        for a in range(g.order)
-        for b in range(a + 1, g.order)
-    )

@@ -112,9 +112,6 @@ class IntMatrix:
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 def vec_add(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y))
@@ -373,11 +370,6 @@ def solve_integer(a: IntMatrix, b: Vec) -> Vec | None:
     if y is None:
         return None
     return row_times_matrix(y, u)
-
-
-def lattice_membership(gens: IntMatrix, x: Vec) -> bool:
-    """Is x in the lattice spanned by the rows of gens?"""
-    return solve_integer(gens, x) is not None
 
 
 def in_rowspan_reduced(h: IntMatrix, x: Vec) -> bool:

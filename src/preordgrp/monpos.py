@@ -17,6 +17,12 @@ their cones and morphisms to their certificate matrices; the comparison
 morphism embeds the completion back into the ambient group, and the
 consistency map identifies P of that completion object with the monoid
 it came from.
+
+Everything is written once on top of the preord backend of the ambient
+group.  The universes part only where they compute different things:
+finite cones are subgroups, so every finite monoid is all units, its
+reduced quotient is trivial and any homomorphism of completions preserves
+it, while abelian monoid morphisms carry generator certificates.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,6 @@ from . import fgabelian as ab
 from . import finitegroup as fg
 from . import preord as po
 from .errors import ValidationError
-from .intmat import IntMatrix, Vec
 
 ABELIAN = po.ABELIAN
 FINITE = po.FINITE
@@ -38,24 +43,15 @@ class ConeMonoid:
     gens: object  # IntMatrix of generator rows | frozenset of elements
 
     @property
+    def backend(self):
+        return po._backend_of(self.ambient)
+
+    @property
     def universe(self) -> str:
-        return ABELIAN if isinstance(self.ambient, ab.FgAbGroup) else FINITE
+        return self.backend.name
 
     def __repr__(self):
-        if self.universe == ABELIAN:
-            return f"ConeMonoid({self.ambient!r}, gens={self.gens.to_rows()})"
-        return f"ConeMonoid({self.ambient!r}, elements={sorted(self.gens)})"
-
-
-def make_monoid(ambient, gens) -> ConeMonoid:
-    """Validate the generators against the ambient group.
-
-    Finite generator sets are closed up and must be stable under ambient
-    conjugation, so the monoid is the cone of a preorder on the ambient
-    group.
-    """
-    obj = po.make_object(ambient, gens)
-    return ConeMonoid(obj.group, obj.cone)
+        return f"ConeMonoid({self.ambient!r}, gens={self.backend.listed(self.gens)})"
 
 
 def positive_cone(obj: po.PreOrdObj) -> ConeMonoid:
@@ -75,29 +71,13 @@ def group_completion(m: ConeMonoid):
     the vanishing lattice as relations, finite ones are the closed subset
     itself presented as a group.
     """
-    if m.universe == ABELIAN:
-        lattice = ab.preimage_lattice(m.gens, m.ambient.relations)
-        group = ab.FgAbGroup(m.gens.rows, lattice)
-        embed = ab.AbMorphism(group, m.ambient, m.gens)
-        return group, embed
-    return fg.subgroup_from_set(m.ambient, m.gens)
+    return m.backend.completion(m.ambient, m.gens)
 
 
 def completion_object(m: ConeMonoid) -> po.PreOrdObj:
     """The completion preordered by the monoid itself."""
     group, _ = group_completion(m)
-    if m.universe == ABELIAN:
-        return po.PreOrdObj(group, IntMatrix.identity(m.gens.rows))
-    return po.PreOrdObj(group, frozenset(range(group.order)))
-
-
-def mon_certificate(m: ConeMonoid, x) -> Vec | None:
-    """Nonnegative generator coefficients for an ambient element, or None."""
-    return po.cone_certificate(ambient_object(m), x)
-
-
-def mon_contains(m: ConeMonoid, x) -> bool:
-    return po.cone_contains(ambient_object(m), x)
+    return po.PreOrdObj(group, m.backend.completion_cone(group))
 
 
 def ore_condition_failure(m: ConeMonoid):
@@ -130,131 +110,94 @@ def make_mon_morphism(dom: ConeMonoid, cod: ConeMonoid, rows) -> MonMorphism:
     """Build from generator images given in codomain generator coordinates.
 
     The relation check on the completions makes the assignment
-    well-defined; each image row must describe a monoid element, which is
-    immediate when the row is nonnegative and otherwise decided exactly.
+    well-defined; each abelian image row must describe a monoid element,
+    which is immediate when the row is nonnegative and otherwise decided
+    exactly.  A finite completion is the whole monoid.
     """
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     gd, _ = group_completion(dom)
     gc, _ = group_completion(cod)
-    if dom.universe == FINITE:
-        ext = rows if isinstance(rows, fg.FinMorphism) else fg.make_fin_morphism(
-            gd, gc, rows
-        )
-        return MonMorphism(dom, cod, ext)
-    ext = rows if isinstance(rows, ab.AbMorphism) else ab.make_morphism(gd, gc, rows)
-    if ext.dom != gd or ext.cod != gc:
-        raise ValidationError("extension endpoints do not match the completions")
-    target = completion_object(cod)
-    for i in range(gd.rank):
-        row = ext.matrix.row(i)
-        if all(v >= 0 for v in row):
-            continue  # the row is its own membership certificate
-        if po.cone_certificate(target, row) is None:
-            raise ValidationError(
-                f"generator {i} maps to {row}, outside the monoid", witness=(i, row)
-            )
+    ext = dom.backend.make_map(gd, gc, rows)
+    if dom.universe == ABELIAN:
+        target = completion_object(cod)
+        for i in range(gd.rank):
+            row = ext.matrix.row(i)
+            if all(v >= 0 for v in row):
+                continue  # the row is its own membership certificate
+            if po.cone_certificate(target, row) is None:
+                raise ValidationError(
+                    f"generator {i} maps to {row}, outside the monoid", witness=(i, row)
+                )
     return MonMorphism(dom, cod, ext)
-
-
-def as_preord(h: MonMorphism) -> po.PreOrdMor:
-    """The same morphism between the completion objects."""
-    return po.make_morphism(completion_object(h.dom), completion_object(h.cod), h.ext)
 
 
 def mon_identity(m: ConeMonoid) -> MonMorphism:
     group, _ = group_completion(m)
-    if m.universe == ABELIAN:
-        return MonMorphism(m, m, ab.identity_morphism(group))
-    return MonMorphism(m, m, fg.fin_identity(group))
+    return MonMorphism(m, m, m.backend.identity(group))
 
 
 def mon_zero(dom: ConeMonoid, cod: ConeMonoid) -> MonMorphism:
     gd, _ = group_completion(dom)
     gc, _ = group_completion(cod)
-    if dom.universe == ABELIAN:
-        return MonMorphism(dom, cod, ab.zero_morphism(gd, gc))
-    return MonMorphism(dom, cod, fg.fin_zero_morphism(gd, gc))
+    return MonMorphism(dom, cod, dom.backend.zero(gd, gc))
 
 
 def mon_compose(f: MonMorphism, g: MonMorphism) -> MonMorphism:
     if f.cod != g.dom:
         raise ValidationError("middle monoids differ in composition")
-    if f.dom.universe == ABELIAN:
-        return MonMorphism(f.dom, g.cod, ab.compose(f.ext, g.ext))
-    return MonMorphism(f.dom, g.cod, fg.fin_compose(f.ext, g.ext))
+    return MonMorphism(f.dom, g.cod, f.dom.backend.compose(f.ext, g.ext))
 
 
 def mon_eq(f: MonMorphism, g: MonMorphism) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    if f.dom.universe == ABELIAN:
-        return ab.morphism_eq(f.ext, g.ext)
-    return f.ext.mapping == g.ext.mapping
+    return f.dom.backend.map_eq(f.ext, g.ext)
 
 
 def mon_is_zero(h: MonMorphism) -> bool:
-    if h.dom.universe == ABELIAN:
-        gc, _ = group_completion(h.cod)
-        return all(
-            ab.is_zero_element(gc, h.ext.matrix.row(i))
-            for i in range(h.ext.matrix.rows)
-        )
-    return all(v == 0 for v in h.ext.mapping)
+    be = h.dom.backend
+    gc, _ = group_completion(h.cod)
+    return all(be.is_zero(gc, be.apply(h.ext, x)) for x in be.generators(h.ext.dom))
 
 
 def mon_is_isomorphism(h: MonMorphism) -> bool:
-    return po.is_isomorphism(as_preord(h))
+    """Whether h is an isomorphism between the completion objects."""
+    return po.is_isomorphism(
+        po.make_morphism(completion_object(h.dom), completion_object(h.cod), h.ext)
+    )
 
 
 def is_group_monoid(m: ConeMonoid) -> bool:
     """Every element invertible: each generator occurs in a vanishing sum."""
-    if m.universe == FINITE:
-        return True
-    touched = po.touched_unit_generators(ambient_object(m))
-    return set(touched) == set(range(m.gens.rows))
+    return po.classify_object(ambient_object(m)).torsion
 
 
 def is_reduced(m: ConeMonoid) -> bool:
     """No unit but zero."""
-    if m.universe == FINITE:
-        return m.gens == frozenset({0})
-    touched = po.touched_unit_generators(ambient_object(m))
-    return all(ab.is_zero_element(m.ambient, m.gens.row(i)) for i in touched)
+    return po.classify_object(ambient_object(m)).torsion_free
 
 
 def is_trivial_monoid(m: ConeMonoid) -> bool:
-    if m.universe == FINITE:
-        return m.gens == frozenset({0})
-    return all(
-        ab.is_zero_element(m.ambient, m.gens.row(i)) for i in range(m.gens.rows)
-    )
+    be = m.backend
+    return all(be.is_zero(m.ambient, x) for x in be.cone_elements(m.gens))
 
 
 def units(m: ConeMonoid):
     """The unit group as a submonoid; returns (U, inclusion)."""
-    if m.universe == FINITE:
-        return m, mon_identity(m)
-    touched = po.touched_unit_generators(ambient_object(m))
-    rows = [m.gens.row(i) for i in touched]
-    u = ConeMonoid(m.ambient, IntMatrix.from_rows(rows, cols=m.ambient.rank))
-    ext_rows = [list(_unit(m.gens.rows, i)) for i in touched]
-    return u, make_mon_morphism(u, m, ext_rows)
+    tobj, kappa = po.torsion_part(ambient_object(m))
+    return positive_cone(tobj), positive_cone_mor(kappa)
 
 
 def quotient_by_units(m: ConeMonoid):
     """The reduced quotient; returns (M/U, projection)."""
     if m.universe == FINITE:
+        # every element is a unit, so the quotient is trivial
         reduced = ConeMonoid(fg.trivial_group(), frozenset({0}))
         group, _ = group_completion(m)
         return reduced, MonMorphism(m, reduced, fg.fin_zero_morphism(group, fg.trivial_group()))
-    touched = po.touched_unit_generators(ambient_object(m))
-    trows = [m.gens.row(i) for i in touched]
-    _, incl = ab.subgroup_generated(m.ambient, trows)
-    qgroup, _ = ab.quotient_by_subgroup(m.ambient, incl)
-    reduced = ConeMonoid(qgroup, m.gens)
-    eta = make_mon_morphism(m, reduced, IntMatrix.identity(m.gens.rows).to_rows())
-    return reduced, eta
+    seq = po.canonical_sequence(ambient_object(m))
+    return positive_cone(seq.torsion_free), positive_cone_mor(seq.eta)
 
 
 @dataclass(frozen=True)
@@ -281,9 +224,10 @@ def factor_through_units(h: MonMorphism, u: ConeMonoid) -> MonMorphism | None:
     """
     if h.dom.universe == FINITE:
         return MonMorphism(h.dom, u, h.ext)
+    _, embed = group_completion(h.cod)
     rows = []
     for i in range(h.ext.matrix.rows):
-        cert = mon_certificate(u, _to_ambient(h.cod, h.ext.matrix.row(i)))
+        cert = po.cone_certificate(ambient_object(u), ab.apply(embed, h.ext.matrix.row(i)))
         if cert is None:
             return None
         rows.append(list(cert))
@@ -311,11 +255,6 @@ def factor_through_reduction(h: MonMorphism, eta: MonMorphism) -> MonMorphism | 
         return None
 
 
-def _to_ambient(m: ConeMonoid, row: Vec) -> Vec:
-    _, embed = group_completion(m)
-    return ab.apply(embed, row)
-
-
 def positive_cone_mor(f: po.PreOrdMor) -> MonMorphism:
     """P on morphisms: the restriction of f to the cones.
 
@@ -332,8 +271,7 @@ def positive_cone_mor(f: po.PreOrdMor) -> MonMorphism:
                 po.cone_certificate(f.cod, ab.apply(f.map, f.dom.cone.row(i)))
                 for i in range(f.dom.cone.rows)
             )
-        rows = [list(c) for c in certs]
-        return make_mon_morphism(mdom, mcod, rows)
+        return make_mon_morphism(mdom, mcod, [list(c) for c in certs])
     gd, incl_d = group_completion(mdom)
     gc, incl_c = group_completion(mcod)
     index_c = {a: i for i, a in enumerate(incl_c.mapping)}
@@ -343,25 +281,18 @@ def positive_cone_mor(f: po.PreOrdMor) -> MonMorphism:
 
 def comparison_morphism(m: ConeMonoid) -> po.PreOrdMor:
     """(completion, M) -> (ambient, M), always a monomorphism."""
-    group, embed = group_completion(m)
-    dom_obj = completion_object(m)
-    cod_obj = ambient_object(m)
-    if m.universe == ABELIAN:
-        certs = tuple(_unit(m.gens.rows, i) for i in range(m.gens.rows))
-        return po.PreOrdMor(dom_obj, cod_obj, embed, certs)
-    return po.PreOrdMor(dom_obj, cod_obj, embed)
+    _, embed = group_completion(m)
+    certs = m.backend.unit_certs(m.gens)
+    return po.PreOrdMor(completion_object(m), ambient_object(m), embed, certs)
 
 
 def fhat_consistency(m: ConeMonoid) -> MonMorphism:
     """P of the completion object back onto the monoid, an isomorphism."""
     source = positive_cone(completion_object(m))
-    if m.universe == ABELIAN:
-        rows = IntMatrix.identity(m.gens.rows).to_rows()
-        return make_mon_morphism(source, m, rows)
-    # completing the full subset of the completion relabels nothing
     gs, _ = group_completion(source)
-    gm, _ = group_completion(m)
-    return MonMorphism(source, m, fg.make_fin_morphism(gs, gm, tuple(range(gs.order))))
+    # completing the completion relabels nothing: each generator of gs goes
+    # to the generator of m's completion with the same coordinate
+    return make_mon_morphism(source, m, m.backend.generators(gs))
 
 
 @dataclass(frozen=True)
@@ -379,44 +310,12 @@ def special_ses(obj: po.PreOrdObj, subgroup) -> SpecialSes:
     The cone functor collapses the right leg, so the sequence P maps to
     has an isomorphic left leg and a trivial right term.
     """
-    if obj.universe == ABELIAN:
-        rows = subgroup if isinstance(subgroup, IntMatrix) else IntMatrix.from_rows(
-            subgroup, cols=obj.group.rank
-        )
-        _, incl_ab = ab.subgroup_generated(obj.group, rows.to_rows())
-        pulled = []
-        for i in range(obj.cone.rows):
-            alpha = ab.make_morphism(_Z1, obj.group, [list(obj.cone.row(i))])
-            phi = ab.factor_through_injection(alpha, incl_ab)
-            if phi is None:
-                raise ValidationError(
-                    f"subgroup does not contain cone generator {i}", witness=i
-                )
-            pulled.append(phi.matrix.row(0))
-        sub_obj = po.PreOrdObj(
-            incl_ab.dom, IntMatrix.from_rows(pulled, cols=incl_ab.dom.rank)
-        )
-        certs = tuple(_unit(obj.cone.rows, i) for i in range(obj.cone.rows))
-        incl = po.PreOrdMor(sub_obj, obj, incl_ab, certs)
-    else:
-        closed = fg.submonoid_closure(obj.group, subgroup)
-        if not obj.cone <= closed:
-            missing = min(obj.cone - closed)
-            raise ValidationError(
-                f"subgroup does not contain cone element {missing}", witness=missing
-            )
-        sub, incl_f = fg.subgroup_from_set(obj.group, closed)
-        indices = frozenset(
-            i for i, a in enumerate(incl_f.mapping) if a in obj.cone
-        )
-        sub_obj = po.PreOrdObj(sub, indices)
-        incl = po.PreOrdMor(sub_obj, obj, incl_f)
+    be = obj.backend
+    sub, incl_map = be.subgroup(obj.group, subgroup)
+    cone = be.pull_cone(obj.cone, incl_map)
+    if cone is None:
+        raise ValidationError("subgroup does not contain the cone")
+    sub_obj = po.PreOrdObj(sub, cone)
+    incl = po.PreOrdMor(sub_obj, obj, incl_map, be.unit_certs(obj.cone))
     quot, proj = po.cokernel(incl)
     return SpecialSes(sub_obj, incl, obj, quot, proj)
-
-
-def _unit(length: int, position: int) -> Vec:
-    return tuple(1 if j == position else 0 for j in range(length))
-
-
-_Z1 = ab.make_group(1, [])

@@ -9,6 +9,16 @@ Two decidable universes are supported:
            integer programming;
   finite   Cayley-table groups, cones stored as closed element sets.
 
+Each universe has one small backend, picked once from the group type by
+_backend_of and reached as obj.backend.  A backend supplies the primitives
+on underlying maps (identity, zero, compose, equality, apply, zero test,
+injective, surjective), the cone elements (generator rows, or the sorted
+nonzero elements of a finite cone), the quotient of a group by a normal
+set of elements, factoring a map through an injection or a surjection,
+and a budgeted cone check.  The constructions are written once on top of
+these, and branch on the universe only where the two compute different
+things: the pullback's presentation and the abelian-only pushout.
+
 Alongside ordinary kernels and cokernels the module builds the relative
 ones: the Z-kernel (same group, cone cut down to the part the morphism
 kills), the Z-cokernel (quotient by the normal closure of the image of the
@@ -19,19 +29,22 @@ the comparison morphism onto the matching relative construction.
 
 Abelian cone membership proofs travel with morphisms as certificate rows
 (nonnegative coefficients over the codomain cone generators), so composing
-or re-checking morphisms never re-runs the membership search.
+or re-checking morphisms never re-runs the membership search.  Finite
+morphisms carry no certificates.
 
 Every abelian membership question goes through one oracle, cone_membership,
 behind one bounded LRU cache keyed on (gens, relations, x).  The cache is
 budget-exact, answering as the uncached search with the same state budget
 would: a decided answer is served only to budgets at least the number of
 states its search visited, UNDECIDED only to budgets no larger than the one
-that ran out.  Samplers and factorization checks call it through
-cone_image_certs.
+that ran out.  Samplers and factorization checks call it through the
+backends' budgeted cone_check.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import add
 
 from . import fgabelian as ab
 from . import finitegroup as fg
@@ -40,7 +53,6 @@ from .intmat import (
     HILBERT_STATE_CAP,
     IntMatrix,
     Vec,
-    hnf_reduced,
     monoid_zero_solutions,
     nonneg_search,
     row_times_matrix,
@@ -49,6 +61,340 @@ from .intmat import (
 ABELIAN = "abelian"
 FINITE = "finite"
 
+# Answer of a membership query whose search ran out of its state budget.
+UNDECIDED = object()
+
+
+def _hcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    rows = [a.row(i) + b.row(i) for i in range(a.rows)]
+    return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
+
+
+class _Backend:
+    """Primitives shared by both universes' backends.
+
+    The certificate primitives default to no certificates, as in the
+    finite universe, where cone membership is a set lookup.
+    """
+
+    def make_map(self, dom, cod, mapping):
+        """An underlying map dom -> cod, from raw data or an existing map."""
+        if isinstance(mapping, (ab.AbMorphism, fg.FinMorphism)):
+            if mapping.dom != dom or mapping.cod != cod:
+                raise ValidationError("underlying morphism endpoints do not match")
+            return mapping
+        return self.build_map(dom, cod, mapping)
+
+    def certs(self, rows):
+        return None
+
+    def unit_certs(self, cone):
+        return None
+
+    def zero_certs(self, dom_cone, cod_cone):
+        return None
+
+
+class _AbelianBackend(_Backend):
+    name = ABELIAN
+
+    def make_cone(self, group, cone):
+        if not isinstance(cone, IntMatrix):
+            try:
+                cone = IntMatrix.from_rows(cone, cols=group.rank)
+            except DimensionError as exc:
+                raise ValidationError(str(exc)) from exc
+        if cone.cols != group.rank:
+            raise ValidationError(
+                f"cone rows have {cone.cols} entries, group rank is {group.rank}"
+            )
+        return cone
+
+    def listed(self, cone):
+        return cone.to_rows()
+
+    def build_map(self, dom, cod, rows):
+        return ab.make_morphism(dom, cod, rows)
+
+    def identity(self, group):
+        return ab.identity_morphism(group)
+
+    def zero(self, dom, cod):
+        return ab.zero_morphism(dom, cod)
+
+    def compose(self, f, g):
+        return ab.compose(f, g)
+
+    def map_eq(self, f, g):
+        return ab.morphism_eq(f, g)
+
+    def apply(self, f, x):
+        return ab.apply(f, x)
+
+    def is_zero(self, group, x):
+        return ab.is_zero_element(group, x)
+
+    def injective(self, f):
+        return ab.is_injective(f)
+
+    def surjective(self, f):
+        return ab.is_surjective(f)
+
+    def generators(self, group):
+        return [ab._unit_row(group.rank, i) for i in range(group.rank)]
+
+    def cone_elements(self, cone):
+        return list(cone.to_rows())
+
+    def cone_with(self, cone, x):
+        return cone.stack(IntMatrix.from_rows([x], cols=cone.cols))
+
+    def cone_without(self, cone, i):
+        """The cone without its i-th element in cone_elements order."""
+        rows = [cone.row(j) for j in range(cone.rows) if j != i]
+        return IntMatrix.from_rows(rows, cols=cone.cols)
+
+    def push_cone(self, cone, f):
+        return cone.mul(f.matrix)
+
+    def pull_cone(self, cone, incl):
+        """The cone rows written in incl's domain, or None if one lies outside."""
+        free = ab.FgAbGroup(cone.rows, IntMatrix.zeros(0, cone.rows))
+        phi = ab.factor_through_injection(ab.AbMorphism(free, incl.cod, cone), incl)
+        return None if phi is None else phi.matrix
+
+    def killed_cone(self, f):
+        """Minimal nonnegative combinations of the cone generators that f
+        kills, in Hilbert-basis order, with those combinations as certs."""
+        sols = _zero_solutions(f.dom.cone.mul(f.map.matrix), f.cod.group.reduced_relations)
+        rows = [row_times_matrix(c, f.dom.cone) for c in sols]
+        return IntMatrix.from_rows(rows, cols=f.dom.group.rank), tuple(sols)
+
+    def unit_cone(self, obj):
+        touched = touched_unit_generators(obj)
+        rows = [obj.cone.row(i) for i in touched]
+        certs = tuple(ab._unit_row(obj.cone.rows, i) for i in touched)
+        return IntMatrix.from_rows(rows, cols=obj.group.rank), certs
+
+    def contains(self, obj, x, budget=None):
+        return cone_certificate(obj, x, budget)
+
+    def cone_check(self, dom, cod, mapping, budget=None):
+        """The morphism when mapping carries dom's cone into cod's, with a
+        certificate per generator; else the first failure in generator
+        order: None for an image outside cod's cone, UNDECIDED for one whose
+        membership needs more than `budget` states.  Without a budget the
+        search may raise ResourceLimitError."""
+        certs = []
+        for x in self.cone_elements(dom.cone):
+            cert = cone_certificate(cod, ab.apply(mapping, x), budget)
+            if cert is None or cert is UNDECIDED:
+                return cert
+            certs.append(cert)
+        return PreOrdMor(dom, cod, mapping, tuple(certs))
+
+    def certs(self, rows):
+        return tuple(rows)
+
+    def unit_certs(self, cone):
+        return tuple(ab._unit_row(cone.rows, i) for i in range(cone.rows))
+
+    def zero_certs(self, dom_cone, cod_cone):
+        return ((0,) * cod_cone.rows,) * dom_cone.rows
+
+    def normal_closure(self, group, elements):
+        return list(elements)
+
+    def quotient(self, group, elements):
+        return ab.quotient(group, elements)
+
+    def kernel(self, f):
+        return ab.kernel(f)
+
+    def subgroup(self, group, elements):
+        return ab.present_subgroup(group, elements)
+
+    def factor_mono(self, t, k):
+        return ab.factor_through_injection(t, k)
+
+    def factor_epi(self, s, q):
+        return ab.factor_through_surjection(s, q)
+
+    def pair(self, f, g):
+        """x -> (f(x), g(x)), into the direct sum of the codomains."""
+        total = ab.direct_sum(f.cod, g.cod).group
+        return ab.AbMorphism(f.dom, total, _hcat(f.matrix, g.matrix))
+
+    def small_elements(self, group):
+        """Unit vectors, their negatives and doubles, then sums of two."""
+        basis = self.generators(group)
+        out = basis + [tuple(-v for v in r) for r in basis]
+        out += [tuple(2 * v for v in r) for r in basis]
+        return out + [tuple(map(add, a, b)) for a, b in combinations_with_replacement(basis, 2)]
+
+    def completion(self, ambient, gens):
+        """The group gens generate, on one coordinate per generator with the
+        vanishing lattice as relations; returns (group, embedding)."""
+        group = ab.FgAbGroup(gens.rows, ab.preimage_lattice(gens, ambient.relations))
+        return group, ab.AbMorphism(group, ambient, gens)
+
+    def completion_cone(self, group):
+        """The monoid on its completion's coordinates: the basis."""
+        return IntMatrix.identity(group.rank)
+
+
+class _FiniteBackend(_Backend):
+    name = FINITE
+
+    def make_cone(self, group, cone):
+        cone = set(cone)
+        outside = sorted(a for a in cone if not 0 <= a < group.order)
+        if outside:
+            raise ValidationError(
+                f"cone element {outside[0]} is not an element of a group of order {group.order}"
+            )
+        closed = fg.submonoid_closure(group, cone)
+        witness = fg.conjugation_witness(group, closed)
+        if witness is not None:
+            x, a = witness
+            raise ValidationError(
+                f"cone is not closed under conjugation: {x} . {a} . {x}^-1 escapes",
+                witness=witness,
+            )
+        return closed
+
+    def listed(self, cone):
+        return sorted(cone)
+
+    def build_map(self, dom, cod, mapping):
+        return fg.make_fin_morphism(dom, cod, mapping)
+
+    def identity(self, group):
+        return fg.fin_identity(group)
+
+    def zero(self, dom, cod):
+        return fg.fin_zero_morphism(dom, cod)
+
+    def compose(self, f, g):
+        return fg.fin_compose(f, g)
+
+    def map_eq(self, f, g):
+        return f.mapping == g.mapping
+
+    def apply(self, f, x):
+        return f.mapping[x]
+
+    def is_zero(self, group, x):
+        return x == 0
+
+    def injective(self, f):
+        return fg.fin_is_injective(f)
+
+    def surjective(self, f):
+        return fg.fin_is_surjective(f)
+
+    def generators(self, group):
+        return list(range(group.order))
+
+    def cone_elements(self, cone):
+        return sorted(cone - {0})
+
+    def cone_with(self, cone, x):
+        return cone | {x}
+
+    def cone_without(self, cone, i):
+        return cone - {self.cone_elements(cone)[i]}
+
+    def push_cone(self, cone, f):
+        return frozenset(f.mapping[p] for p in cone)
+
+    def pull_cone(self, cone, incl):
+        """The cone's indices in incl's domain, or None if it is not inside."""
+        if not cone <= set(incl.mapping):
+            return None
+        return frozenset(i for i, a in enumerate(incl.mapping) if a in cone)
+
+    def killed_cone(self, f):
+        return frozenset(p for p in f.dom.cone if f.map.mapping[p] == 0), None
+
+    def unit_cone(self, obj):
+        # a closed subset of a finite group is a subgroup: every cone
+        # element is a unit
+        return unit_elements(obj), None
+
+    def contains(self, obj, x, budget=None):
+        return True if x in obj.cone else None
+
+    def cone_check(self, dom, cod, mapping, budget=None):
+        if any(mapping.mapping[p] not in cod.cone for p in dom.cone):
+            return None
+        return PreOrdMor(dom, cod, mapping)
+
+    def normal_closure(self, group, elements):
+        return fg.normal_closure(group, elements)
+
+    def quotient(self, group, elements):
+        """Quotient by the normal subgroup made of elements and 0."""
+        return fg.quotient_by_normal(group, {0, *elements})
+
+    def kernel(self, f):
+        return fg.subgroup_from_set(f.dom, fg.kernel_set(f))
+
+    def subgroup(self, group, elements):
+        return fg.subgroup_from_set(group, fg.submonoid_closure(group, elements))
+
+    def factor_mono(self, t, k):
+        inverse = {}
+        for x, y in enumerate(k.mapping):
+            inverse.setdefault(y, x)
+        if any(y not in inverse for y in t.mapping):
+            return None
+        try:
+            return fg.make_fin_morphism(t.dom, k.dom, [inverse[y] for y in t.mapping])
+        except ValidationError:
+            return None
+
+    def factor_epi(self, s, q):
+        mapping = [None] * q.cod.order
+        for x, v in enumerate(s.mapping):
+            y = q.mapping[x]
+            if mapping[y] is None:
+                mapping[y] = v
+            elif mapping[y] != v:
+                return None
+        if None in mapping:
+            return None
+        try:
+            return fg.make_fin_morphism(q.cod, s.cod, mapping)
+        except ValidationError:
+            return None
+
+    def pair(self, f, g):
+        """x -> (f(x), g(x)); only injectivity and factoring read the pairs."""
+        return fg.FinMorphism(f.dom, (f.cod, g.cod), tuple(zip(f.mapping, g.mapping)))
+
+    def small_elements(self, group):
+        return list(range(group.order))
+
+    def completion(self, ambient, gens):
+        return fg.subgroup_from_set(ambient, gens)
+
+    def completion_cone(self, group):
+        return frozenset(range(group.order))
+
+
+_ABELIAN_BACKEND = _AbelianBackend()
+_FINITE_BACKEND = _FiniteBackend()
+
+
+def _backend_of(group):
+    """The backend of the universe the group lives in."""
+    if isinstance(group, ab.FgAbGroup):
+        return _ABELIAN_BACKEND
+    if isinstance(group, fg.FiniteGroup):
+        return _FINITE_BACKEND
+    raise ValidationError(f"unsupported group {group!r}")
+
 
 @dataclass(frozen=True)
 class PreOrdObj:
@@ -56,13 +402,15 @@ class PreOrdObj:
     cone: object  # IntMatrix of generator rows | frozenset of elements
 
     @property
+    def backend(self):
+        return _backend_of(self.group)
+
+    @property
     def universe(self) -> str:
-        return ABELIAN if isinstance(self.group, ab.FgAbGroup) else FINITE
+        return self.backend.name
 
     def __repr__(self):
-        if self.universe == ABELIAN:
-            return f"PreOrdObj({self.group!r}, cone={self.cone.to_rows()})"
-        return f"PreOrdObj({self.group!r}, cone={sorted(self.cone)})"
+        return f"PreOrdObj({self.group!r}, cone={self.backend.listed(self.cone)})"
 
 
 @dataclass(frozen=True)
@@ -78,39 +426,12 @@ class PreOrdMor:
 
 def make_object(group, cone) -> PreOrdObj:
     """Validate and build an object; finite cones are given by generators."""
-    if isinstance(group, ab.FgAbGroup):
-        if not isinstance(cone, IntMatrix):
-            try:
-                cone = IntMatrix.from_rows(cone, cols=group.rank)
-            except DimensionError as exc:
-                raise ValidationError(str(exc)) from exc
-        if cone.cols != group.rank:
-            raise ValidationError(
-                f"cone rows have {cone.cols} entries, group rank is {group.rank}"
-            )
-        return PreOrdObj(group, cone)
-    if isinstance(group, fg.FiniteGroup):
-        closed = fg.submonoid_closure(group, cone)
-        witness = fg.conjugation_witness(group, closed)
-        if witness is not None:
-            x, a = witness
-            raise ValidationError(
-                f"cone is not closed under conjugation: {x} . {a} . {x}^-1 escapes",
-                witness=witness,
-            )
-        return PreOrdObj(group, closed)
-    raise ValidationError(f"unsupported group {group!r}")
+    return PreOrdObj(group, _backend_of(group).make_cone(group, cone))
 
 
 def discrete_object(group) -> PreOrdObj:
     """The group with the trivial preorder."""
-    if isinstance(group, ab.FgAbGroup):
-        return PreOrdObj(group, IntMatrix.zeros(0, group.rank))
     return make_object(group, ())
-
-
-# Answer of a membership query whose search ran out of its state budget.
-UNDECIDED = object()
 
 
 @lru_cache(maxsize=65536)
@@ -145,7 +466,8 @@ def _zero_solutions(gens: IntMatrix, relations: IntMatrix):
 
 
 def cone_certificate(obj: PreOrdObj, x, budget: int | None = None):
-    """Nonnegative coefficients writing x over the cone generators, or None.
+    """Abelian: nonnegative coefficients writing x over the cone generators,
+    or None.
 
     With a budget, a search needing more states returns UNDECIDED; without
     one it may use HILBERT_STATE_CAP states and raises ResourceLimitError
@@ -162,25 +484,7 @@ def cone_certificate(obj: PreOrdObj, x, budget: int | None = None):
 
 
 def cone_contains(obj: PreOrdObj, x) -> bool:
-    if obj.universe == FINITE:
-        return x in obj.cone
-    return cone_certificate(obj, x) is not None
-
-
-def cone_image_certs(dom: PreOrdObj, cod: PreOrdObj, mapping, budget: int):
-    """Certificates for the images of dom's cone generators under mapping.
-
-    Returns the tuple of certificates, or the first failure in generator
-    order: None for an image outside cod's cone, UNDECIDED for one whose
-    membership needs more than `budget` states.
-    """
-    certs = []
-    for i in range(dom.cone.rows):
-        cert = cone_certificate(cod, ab.apply(mapping, dom.cone.row(i)), budget)
-        if cert is None or cert is UNDECIDED:
-            return cert
-        certs.append(cert)
-    return tuple(certs)
+    return obj.backend.contains(obj, x) is not None
 
 
 def _verify_cert(cod: PreOrdObj, y: Vec, cert) -> Vec:
@@ -205,81 +509,45 @@ def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, certs=None) -> PreOrd
     """
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
-    if dom.universe == ABELIAN:
-        if isinstance(mapping, ab.AbMorphism):
-            if mapping.dom != dom.group or mapping.cod != cod.group:
-                raise ValidationError("underlying morphism endpoints do not match")
-            m = mapping
-        else:
-            m = ab.make_morphism(dom.group, cod.group, mapping)
-        out = []
-        for i in range(dom.cone.rows):
-            y = ab.apply(m, dom.cone.row(i))
-            if certs is not None:
-                out.append(_verify_cert(cod, y, certs[i]))
-            else:
-                cert = cone_certificate(cod, y)
-                if cert is None:
-                    raise ValidationError(
-                        f"cone generator {i} maps to {y}, outside the cone",
-                        witness=(i, y),
-                    )
-                out.append(cert)
-        return PreOrdMor(dom, cod, m, tuple(out))
-    if isinstance(mapping, fg.FinMorphism):
-        if mapping.dom != dom.group or mapping.cod != cod.group:
-            raise ValidationError("underlying morphism endpoints do not match")
-        m = mapping
-    else:
-        m = fg.make_fin_morphism(dom.group, cod.group, mapping)
-    for p in sorted(dom.cone):
-        if m.mapping[p] not in cod.cone:
-            raise ValidationError(
-                f"cone element {p} maps to {m.mapping[p]}, outside the cone",
-                witness=p,
-            )
-    return PreOrdMor(dom, cod, m)
+    be = dom.backend
+    m = be.make_map(dom.group, cod.group, mapping)
+    out = []
+    for i, x in enumerate(be.cone_elements(dom.cone)):
+        y = be.apply(m, x)
+        cert = be.contains(cod, y) if certs is None else _verify_cert(cod, y, certs[i])
+        if cert is None:
+            raise ValidationError(f"cone element {x} maps to {y}, outside the cone", witness=x)
+        out.append(cert)
+    return PreOrdMor(dom, cod, m, be.certs(out))
 
 
 def identity_preord(obj: PreOrdObj) -> PreOrdMor:
-    if obj.universe == ABELIAN:
-        certs = tuple(_unit(obj.cone.rows, i) for i in range(obj.cone.rows))
-        return PreOrdMor(obj, obj, ab.identity_morphism(obj.group), certs)
-    return PreOrdMor(obj, obj, fg.fin_identity(obj.group))
+    be = obj.backend
+    return PreOrdMor(obj, obj, be.identity(obj.group), be.unit_certs(obj.cone))
 
 
 def zero_preord(dom: PreOrdObj, cod: PreOrdObj) -> PreOrdMor:
-    if dom.universe == ABELIAN:
-        certs = ((0,) * cod.cone.rows,) * dom.cone.rows
-        return PreOrdMor(dom, cod, ab.zero_morphism(dom.group, cod.group), certs)
-    return PreOrdMor(dom, cod, fg.fin_zero_morphism(dom.group, cod.group))
+    be = dom.backend
+    return PreOrdMor(
+        dom, cod, be.zero(dom.group, cod.group), be.zero_certs(dom.cone, cod.cone)
+    )
 
 
 def compose_preord(f: PreOrdMor, g: PreOrdMor) -> PreOrdMor:
     """f then g; certificates compose by matrix product when both carry them."""
     if f.cod != g.dom:
         raise ValidationError("middle objects differ in composition")
-    if f.dom.universe == ABELIAN:
-        m = ab.compose(f.map, g.map)
-        certs = None
-        if f.certs is not None and g.certs is not None:
-            width = g.cod.cone.rows
-            gmat = IntMatrix.from_rows(list(g.certs), cols=width)
-            certs = tuple(row_times_matrix(c, gmat) for c in f.certs)
-        return PreOrdMor(f.dom, g.cod, m, certs)
-    return PreOrdMor(f.dom, g.cod, fg.fin_compose(f.map, g.map))
+    certs = None
+    if f.certs is not None and g.certs is not None:
+        gmat = IntMatrix.from_rows(list(g.certs), cols=g.cod.cone.rows)
+        certs = tuple(row_times_matrix(c, gmat) for c in f.certs)
+    return PreOrdMor(f.dom, g.cod, f.dom.backend.compose(f.map, g.map), certs)
 
 
 def mor_eq(f: PreOrdMor, g: PreOrdMor) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    if f.dom.universe == ABELIAN:
-        return ab.morphism_eq(f.map, g.map)
-    return f.map.mapping == g.map.mapping
-
-
-def _unit(length: int, position: int) -> Vec:
-    return tuple(1 if j == position else 0 for j in range(length))
+    return f.dom.backend.map_eq(f.map, g.map)
 
 
 @dataclass(frozen=True)
@@ -291,20 +559,11 @@ class MorphismClass:
 
 def classify_morphism(f: PreOrdMor) -> MorphismClass:
     """Monos are injections, epis surjections; a regular epi also covers the cone."""
-    if f.dom.universe == ABELIAN:
-        mono = ab.is_injective(f.map)
-        epi = ab.is_surjective(f.map)
-        reg = False
-        if epi:
-            image = PreOrdObj(f.cod.group, f.dom.cone.mul(f.map.matrix))
-            reg = all(
-                cone_contains(image, f.cod.cone.row(k)) for k in range(f.cod.cone.rows)
-            )
-        return MorphismClass(mono, epi, reg)
-    mono = fg.fin_is_injective(f.map)
-    epi = fg.fin_is_surjective(f.map)
-    image_cone = {f.map.mapping[p] for p in f.dom.cone}
-    return MorphismClass(mono, epi, epi and f.cod.cone <= image_cone)
+    be = f.dom.backend
+    epi = be.surjective(f.map)
+    image = PreOrdObj(f.cod.group, be.push_cone(f.dom.cone, f.map))
+    reg = epi and all(cone_contains(image, y) for y in be.cone_elements(f.cod.cone))
+    return MorphismClass(be.injective(f.map), epi, reg)
 
 
 def is_isomorphism(f: PreOrdMor) -> bool:
@@ -314,51 +573,35 @@ def is_isomorphism(f: PreOrdMor) -> bool:
 
 def kernel(f: PreOrdMor):
     """(K, K meet P) with its inclusion; returns (object, morphism into dom)."""
-    dom = f.dom
-    if dom.universe == ABELIAN:
-        kgroup, incl = ab.kernel(f.map)
-        sols = _zero_solutions(
-            dom.cone.mul(f.map.matrix), f.cod.group.reduced_relations
-        )
-        rows = []
-        for c in sols:
-            x = row_times_matrix(c, dom.cone)
-            alpha = ab.make_morphism(_Z1, dom.group, [list(x)])
-            phi = ab.factor_through_injection(alpha, incl)
-            rows.append(phi.matrix.row(0))
-        kobj = PreOrdObj(kgroup, IntMatrix.from_rows(rows, cols=kgroup.rank))
-        return kobj, PreOrdMor(kobj, dom, incl, tuple(sols))
-    kset = fg.kernel_set(f.map)
-    sub, incl = fg.subgroup_from_set(dom.group, kset)
-    kcone = frozenset(
-        i for i, a in enumerate(incl.mapping) if a in dom.cone
-    )
-    kobj = PreOrdObj(sub, kcone)
-    return kobj, PreOrdMor(kobj, dom, incl)
+    be = f.dom.backend
+    kgroup, incl = be.kernel(f.map)
+    zcone, certs = be.killed_cone(f)
+    kobj = PreOrdObj(kgroup, be.pull_cone(zcone, incl))
+    return kobj, PreOrdMor(kobj, f.dom, incl, certs)
+
+
+def _quotient(obj: PreOrdObj, elements):
+    """obj modulo a normal set of elements, cone pushed forward; returns
+    (object, projection)."""
+    be = obj.backend
+    group, proj = be.quotient(obj.group, elements)
+    qobj = PreOrdObj(group, be.push_cone(obj.cone, proj))
+    return qobj, PreOrdMor(obj, qobj, proj, be.unit_certs(obj.cone))
 
 
 def cokernel(f: PreOrdMor):
     """Quotient by the normal closure of the image, cone pushed forward."""
-    cod = f.cod
-    if cod.universe == ABELIAN:
-        qgroup, proj = ab.cokernel(f.map)
-        qobj = PreOrdObj(qgroup, cod.cone)
-        certs = tuple(_unit(cod.cone.rows, i) for i in range(cod.cone.rows))
-        return qobj, PreOrdMor(cod, qobj, proj, certs)
-    nset = fg.normal_closure(cod.group, fg.image_set(f.map))
-    quot, proj = fg.quotient_by_normal(cod.group, nset)
-    qobj = PreOrdObj(quot, frozenset(proj.mapping[p] for p in cod.cone))
-    return qobj, PreOrdMor(cod, qobj, proj)
+    be = f.cod.backend
+    images = [be.apply(f.map, x) for x in be.generators(f.dom.group)]
+    return _quotient(f.cod, be.normal_closure(f.cod.group, images))
 
 
 def is_z_trivial(f: PreOrdMor) -> bool:
     """True when the morphism kills the whole cone."""
-    if f.dom.universe == ABELIAN:
-        return all(
-            ab.is_zero_element(f.cod.group, ab.apply(f.map, f.dom.cone.row(i)))
-            for i in range(f.dom.cone.rows)
-        )
-    return all(f.map.mapping[p] == 0 for p in f.dom.cone)
+    be = f.dom.backend
+    return all(
+        be.is_zero(f.cod.group, be.apply(f.map, x)) for x in be.cone_elements(f.dom.cone)
+    )
 
 
 def z_kernel(f: PreOrdMor):
@@ -368,37 +611,17 @@ def z_kernel(f: PreOrdMor):
     the minimal nonnegative combinations of the original generators that
     map to zero, in the order the Hilbert basis lists them.
     """
-    dom = f.dom
-    if dom.universe == ABELIAN:
-        sols = _zero_solutions(
-            dom.cone.mul(f.map.matrix), f.cod.group.reduced_relations
-        )
-        rows = [row_times_matrix(c, dom.cone) for c in sols]
-        zobj = PreOrdObj(dom.group, IntMatrix.from_rows(rows, cols=dom.group.rank))
-        return zobj, PreOrdMor(zobj, dom, ab.identity_morphism(dom.group), tuple(sols))
-    zcone = frozenset(p for p in dom.cone if f.map.mapping[p] == 0)
-    zobj = PreOrdObj(dom.group, zcone)
-    return zobj, PreOrdMor(zobj, dom, fg.fin_identity(dom.group))
+    be = f.dom.backend
+    zcone, certs = be.killed_cone(f)
+    zobj = PreOrdObj(f.dom.group, zcone)
+    return zobj, PreOrdMor(zobj, f.dom, be.identity(f.dom.group), certs)
 
 
 def z_cokernel(f: PreOrdMor):
     """Quotient by the normal closure of the image of the cone."""
-    cod = f.cod
-    if cod.universe == ABELIAN:
-        srows = f.dom.cone.mul(f.map.matrix)
-        qgroup = ab.FgAbGroup(
-            cod.group.rank, hnf_reduced(cod.group.relations.stack(srows))
-        )
-        proj = ab.AbMorphism(cod.group, qgroup, IntMatrix.identity(cod.group.rank))
-        qobj = PreOrdObj(qgroup, cod.cone)
-        certs = tuple(_unit(cod.cone.rows, i) for i in range(cod.cone.rows))
-        return qobj, PreOrdMor(cod, qobj, proj, certs)
-    simage = fg.normal_closure(
-        cod.group, {f.map.mapping[p] for p in f.dom.cone}
-    )
-    quot, proj = fg.quotient_by_normal(cod.group, simage)
-    qobj = PreOrdObj(quot, frozenset(proj.mapping[p] for p in cod.cone))
-    return qobj, PreOrdMor(cod, qobj, proj)
+    be = f.cod.backend
+    images = [be.apply(f.map, x) for x in be.cone_elements(f.dom.cone)]
+    return _quotient(f.cod, be.normal_closure(f.cod.group, images))
 
 
 def touched_unit_generators(obj: PreOrdObj) -> tuple:
@@ -420,6 +643,14 @@ def unit_elements(obj: PreOrdObj) -> frozenset:
     return frozenset(p for p in obj.cone if obj.group.inv(p) in obj.cone)
 
 
+def torsion_part(obj: PreOrdObj):
+    """(G, U(P)) with its inclusion into (G, P), the identity on the group."""
+    be = obj.backend
+    ucone, certs = be.unit_cone(obj)
+    tobj = PreOrdObj(obj.group, ucone)
+    return tobj, PreOrdMor(tobj, obj, be.identity(obj.group), certs)
+
+
 @dataclass(frozen=True)
 class CanonicalSeq:
     torsion: PreOrdObj
@@ -431,28 +662,8 @@ class CanonicalSeq:
 
 def canonical_sequence(obj: PreOrdObj) -> CanonicalSeq:
     """Units-and-quotient sequence (G, U(P)) -> (G, P) ->> (G/U(P), image of P)."""
-    if obj.universe == ABELIAN:
-        touched = touched_unit_generators(obj)
-        trows = [obj.cone.row(i) for i in touched]
-        tobj = PreOrdObj(obj.group, IntMatrix.from_rows(trows, cols=obj.group.rank))
-        kappa = PreOrdMor(
-            tobj,
-            obj,
-            ab.identity_morphism(obj.group),
-            tuple(_unit(obj.cone.rows, i) for i in touched),
-        )
-        _, incl = ab.subgroup_generated(obj.group, trows)
-        qgroup, proj = ab.quotient_by_subgroup(obj.group, incl)
-        tfobj = PreOrdObj(qgroup, obj.cone)
-        certs = tuple(_unit(obj.cone.rows, i) for i in range(obj.cone.rows))
-        eta = PreOrdMor(obj, tfobj, proj, certs)
-        return CanonicalSeq(tobj, kappa, obj, tfobj, eta)
-    units = unit_elements(obj)
-    tobj = PreOrdObj(obj.group, units)
-    kappa = PreOrdMor(tobj, obj, fg.fin_identity(obj.group))
-    quot, proj = fg.quotient_by_normal(obj.group, units)
-    tfobj = PreOrdObj(quot, frozenset(proj.mapping[p] for p in obj.cone))
-    eta = PreOrdMor(obj, tfobj, proj)
+    tobj, kappa = torsion_part(obj)
+    tfobj, eta = _quotient(obj, obj.backend.cone_elements(tobj.cone))
     return CanonicalSeq(tobj, kappa, obj, tfobj, eta)
 
 
@@ -463,15 +674,10 @@ class ObjectClass:
 
 
 def classify_object(obj: PreOrdObj) -> ObjectClass:
-    if obj.universe == ABELIAN:
-        touched = set(touched_unit_generators(obj))
-        torsion = touched == set(range(obj.cone.rows))
-        torsion_free = all(
-            ab.is_zero_element(obj.group, obj.cone.row(i)) for i in touched
-        )
-        return ObjectClass(torsion, torsion_free)
-    # a closed subset of a finite group is a subgroup, so always torsion
-    return ObjectClass(True, obj.cone == frozenset({0}))
+    be = obj.backend
+    tobj, _ = torsion_part(obj)
+    torsion_free = all(be.is_zero(obj.group, x) for x in be.cone_elements(tobj.cone))
+    return ObjectClass(tobj.cone == obj.cone, torsion_free)
 
 
 def functor_D(obj: PreOrdObj) -> PreOrdObj:
@@ -480,46 +686,35 @@ def functor_D(obj: PreOrdObj) -> PreOrdObj:
 
 
 def functor_D_mor(f: PreOrdMor) -> PreOrdMor:
-    if f.dom.universe == ABELIAN:
-        return PreOrdMor(functor_D(f.dom), functor_D(f.cod), f.map, ())
-    return PreOrdMor(functor_D(f.dom), functor_D(f.cod), f.map)
+    ddom, dcod = functor_D(f.dom), functor_D(f.cod)
+    return PreOrdMor(ddom, dcod, f.map, f.dom.backend.zero_certs(ddom.cone, dcod.cone))
 
 
 def counit_iota(obj: PreOrdObj) -> PreOrdMor:
     """D(X) -> X, the identity on the underlying group."""
-    if obj.universe == ABELIAN:
-        return PreOrdMor(functor_D(obj), obj, ab.identity_morphism(obj.group), ())
-    return PreOrdMor(functor_D(obj), obj, fg.fin_identity(obj.group))
+    be = obj.backend
+    dx = functor_D(obj)
+    return PreOrdMor(dx, obj, be.identity(obj.group), be.zero_certs(dx.cone, obj.cone))
 
 
 def functor_C(obj: PreOrdObj):
-    """Quotient by the subgroup the cone generates; returns (C(X), unit pi)."""
-    if obj.universe == ABELIAN:
-        _, incl = ab.subgroup_generated(obj.group, obj.cone.to_rows())
-        qgroup, proj = ab.quotient_by_subgroup(obj.group, incl)
-        cobj = discrete_object(qgroup)
-        pi = PreOrdMor(obj, cobj, proj, ((),) * obj.cone.rows)
-        return cobj, pi
-    # the cone is already a normal subgroup here
-    quot, proj = fg.quotient_by_normal(obj.group, obj.cone)
-    cobj = discrete_object(quot)
-    return cobj, PreOrdMor(obj, cobj, proj)
+    """Quotient by the subgroup the cone generates; returns (C(X), unit pi).
+
+    A finite cone is already a normal subgroup; an abelian one generates one."""
+    be = obj.backend
+    qgroup, proj = be.quotient(obj.group, be.cone_elements(obj.cone))
+    cobj = discrete_object(qgroup)
+    return cobj, PreOrdMor(obj, cobj, proj, be.zero_certs(obj.cone, cobj.cone))
 
 
 def functor_C_mor(f: PreOrdMor) -> PreOrdMor:
+    be = f.dom.backend
     cdom, pid = functor_C(f.dom)
     ccod, pic = functor_C(f.cod)
-    if f.dom.universe == ABELIAN:
-        beta = ab.compose(f.map, pic.map)
-        psi = ab.factor_through_surjection(beta, pid.map)
-        if psi is None:
-            raise ValidationError("stable quotient does not receive the morphism")
-        return PreOrdMor(cdom, ccod, psi, ())
-    mapping = [0] * cdom.group.order
-    for a in range(f.dom.group.order):
-        mapping[pid.map.mapping[a]] = pic.map.mapping[f.map.mapping[a]]
-    psi = fg.make_fin_morphism(cdom.group, ccod.group, mapping)
-    return PreOrdMor(cdom, ccod, psi)
+    psi = be.factor_epi(be.compose(f.map, pic.map), pid.map)
+    if psi is None:
+        raise ValidationError("stable quotient does not receive the morphism")
+    return PreOrdMor(cdom, ccod, psi, be.zero_certs(cdom.cone, ccod.cone))
 
 
 @dataclass(frozen=True)
@@ -538,40 +733,24 @@ def pullback_with_counit(f: PreOrdMor) -> PullbackSquare:
     """
     X, Y = f.dom, f.cod
     dy = functor_D(Y)
+    zobj, zmor = z_kernel(f)
     if X.universe == FINITE:
         # graph of f inside X x Y, presented on its first coordinate
-        zobj, _ = z_kernel(f)
-        pbobj = zobj
-        to_dom = PreOrdMor(pbobj, X, fg.fin_identity(X.group))
-        to_disc = PreOrdMor(pbobj, dy, f.map)
-        comparison = PreOrdMor(zobj, pbobj, fg.fin_identity(X.group))
-        return PullbackSquare(pbobj, to_dom, to_disc, comparison)
+        ident = fg.fin_identity(X.group)
+        to_dom, to_disc = PreOrdMor(zobj, X, ident), PreOrdMor(zobj, dy, f.map)
+        return PullbackSquare(zobj, to_dom, to_disc, PreOrdMor(zobj, zobj, ident))
+    be = X.backend
     rx, ry = X.group.rank, Y.group.rank
     ds = ab.direct_sum(X.group, Y.group)
-    diff_rows = [list(f.map.matrix.row(i)) for i in range(rx)]
-    diff_rows += [list(r) for r in IntMatrix.identity(ry).neg().to_rows()]
-    diff = ab.AbMorphism(ds.group, Y.group, IntMatrix.from_rows(diff_rows, cols=ry))
+    diff = ab.AbMorphism(ds.group, Y.group, f.map.matrix.stack(IntMatrix.identity(ry).neg()))
     pbgroup, incl = ab.kernel(diff)
-    p1 = ab.compose(incl, ds.proj_left)
-    p2 = ab.compose(incl, ds.proj_right)
-    sols = _zero_solutions(X.cone.mul(f.map.matrix), Y.group.reduced_relations)
-    rows = []
-    for c in sols:
-        x = row_times_matrix(c, X.cone)
-        alpha = ab.make_morphism(_Z1, ds.group, [list(x) + [0] * ry])
-        rows.append(ab.factor_through_injection(alpha, incl).matrix.row(0))
-    pbobj = PreOrdObj(pbgroup, IntMatrix.from_rows(rows, cols=pbgroup.rank))
-    to_dom = PreOrdMor(pbobj, X, p1, tuple(sols))
-    to_disc = PreOrdMor(pbobj, dy, p2, ((),) * len(sols))
-    zobj, _ = z_kernel(f)
-    graph_rows = [
-        list(_unit(rx, i)) + list(f.map.matrix.row(i)) for i in range(rx)
-    ]
-    graph = ab.make_morphism(X.group, ds.group, graph_rows)
+    pbcone = be.pull_cone(_hcat(zobj.cone, IntMatrix.zeros(zobj.cone.rows, ry)), incl)
+    pbobj = PreOrdObj(pbgroup, pbcone)
+    to_dom = PreOrdMor(pbobj, X, ab.compose(incl, ds.proj_left), zmor.certs)
+    to_disc = PreOrdMor(pbobj, dy, ab.compose(incl, ds.proj_right), be.zero_certs(pbcone, dy.cone))
+    graph = ab.make_morphism(X.group, ds.group, _hcat(IntMatrix.identity(rx), f.map.matrix))
     cmp_map = ab.factor_through_injection(graph, incl)
-    comparison = PreOrdMor(
-        zobj, pbobj, cmp_map, tuple(_unit(len(sols), j) for j in range(len(sols)))
-    )
+    comparison = PreOrdMor(zobj, pbobj, cmp_map, be.unit_certs(pbcone))
     return PullbackSquare(pbobj, to_dom, to_disc, comparison)
 
 
@@ -589,26 +768,17 @@ def pushout_with_unit(f: PreOrdMor) -> PushoutSquare:
         raise ValidationError("pushouts are only available in the abelian universe")
     X, Y = f.dom, f.cod
     cx, _ = functor_C(X)
-    rx, ry, rc = X.group.rank, Y.group.rank, cx.group.rank
+    rc = cx.group.rank
     ds = ab.direct_sum(Y.group, cx.group)
-    graph_rows = [
-        list(f.map.matrix.row(i)) + [-v for v in _unit(rc, i)] for i in range(rx)
-    ]
-    relations = hnf_reduced(
-        ds.group.relations.stack(IntMatrix.from_rows(graph_rows, cols=ry + rc))
-    )
-    pogroup = ab.FgAbGroup(ry + rc, relations)
+    graph = _hcat(f.map.matrix, IntMatrix.identity(rc).neg())
+    pogroup, _ = ab.quotient(ds.group, graph)
     in1 = ab.AbMorphism(Y.group, pogroup, ds.inj_left.matrix)
     in2 = ab.AbMorphism(cx.group, pogroup, ds.inj_right.matrix)
-    rows = [list(Y.cone.row(i)) + [0] * rc for i in range(Y.cone.rows)]
-    poobj = PreOrdObj(pogroup, IntMatrix.from_rows(rows, cols=ry + rc))
-    units = tuple(_unit(Y.cone.rows, i) for i in range(Y.cone.rows))
+    poobj = PreOrdObj(pogroup, _hcat(Y.cone, IntMatrix.zeros(Y.cone.rows, rc)))
+    units = X.backend.unit_certs(Y.cone)
     from_cod = PreOrdMor(Y, poobj, in1, units)
     from_stable = PreOrdMor(cx, poobj, in2, ())
     zobj, _ = z_cokernel(f)
     cmp_map = ab.make_morphism(zobj.group, pogroup, in1.matrix.to_rows())
     comparison = PreOrdMor(zobj, poobj, cmp_map, units)
     return PushoutSquare(poobj, from_cod, from_stable, comparison)
-
-
-_Z1 = ab.make_group(1, [])

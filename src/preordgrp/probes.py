@@ -95,12 +95,12 @@ def probes_for(universe: str) -> tuple[Probe, ...]:
 
 
 def monoid_probes(universe: str) -> tuple[tuple[str, mp.ConeMonoid], ...]:
-    """The positive cones of the fixed probes, skipping trivial repeats."""
-    out = []
+    """The positive cones of the fixed probes, skipping repeats; a repeated
+    cone keeps the name of its first probe."""
+    names = {}
     for probe in probes_for(universe):
-        m = mp.positive_cone(probe.obj)
-        out.append((probe.name, m))
-    return tuple(out)
+        names.setdefault(mp.positive_cone(probe.obj), probe.name)
+    return tuple((name, m) for m, name in names.items())
 
 
 @lru_cache(maxsize=1)
@@ -214,10 +214,7 @@ def _cone_span(gens: IntMatrix, relations: IntMatrix) -> IntMatrix:
 
 def _cone_images_plausible(f: ab.AbMorphism, dom: po.PreOrdObj, cod: po.PreOrdObj) -> bool:
     """Necessary test: cone images must at least lie in the cone's span."""
-    if cod.cone.rows == 0:
-        span = hnf_reduced(cod.group.relations)
-    else:
-        span = _cone_span(cod.cone, cod.group.relations)
+    span = _cone_span(cod.cone, cod.group.relations)
     for i in range(dom.cone.rows):
         if not in_rowspan_reduced(span, ab.apply(f, dom.cone.row(i))):
             return False
@@ -242,10 +239,10 @@ def _random_abelian_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, 
             continue
         if not _cone_images_plausible(f, dom, cod):
             continue
-        certs = po.cone_image_certs(dom, cod, f, SAMPLER_STATE_CAP)
-        if certs is None or certs is po.UNDECIDED:
+        mor = dom.backend.cone_check(dom, cod, f, SAMPLER_STATE_CAP)
+        if mor is None or mor is po.UNDECIDED:
             continue
-        return po.PreOrdMor(dom, cod, f, certs)
+        return mor
     return po.zero_preord(dom, cod)
 
 
@@ -261,10 +258,12 @@ def _random_finite_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, t
                 y = cod.group.mul(y, images[i])
             mapping.append(y)
         try:
-            fg.make_fin_morphism(dom.group, cod.group, mapping)
-            return po.make_morphism(dom, cod, tuple(mapping))
+            f = fg.make_fin_morphism(dom.group, cod.group, mapping)
         except ValidationError:
             continue
+        mor = dom.backend.cone_check(dom, cod, f)
+        if mor is not None:
+            return mor
     return po.zero_preord(dom, cod)
 
 
@@ -293,12 +292,9 @@ def random_mon_morphism(
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     if dom.universe == po.FINITE:
-        gd, _ = mp.group_completion(dom)
-        gc, _ = mp.group_completion(cod)
-        dom_obj = po.make_object(gd, range(gd.order))
-        cod_obj = po.make_object(gc, range(gc.order))
+        dom_obj, cod_obj = mp.completion_object(dom), mp.completion_object(cod)
         f = _random_finite_morphism(rng, dom_obj, cod_obj, tries)
-        return mp.make_mon_morphism(dom, cod, f.map.mapping)
+        return mp.make_mon_morphism(dom, cod, f.map)
     ngen = dom.gens.rows
     mgen = cod.gens.rows
     for _ in range(tries):

@@ -118,6 +118,13 @@ class TestExitCodes:
         assert cli.main(["classify", str(path), "a"]) == 1
         assert "line 4" in capsys.readouterr().err
 
+    def test_mixed_universe_morphism_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "mixed.txt"
+        text = ff.format_workspace(demo_workspace()) + "\nmorphism f : zn -> c3\nmatrix\n1\n"
+        path.write_text(text)
+        assert cli.main(["kernel", str(path), "f"]) == 1
+        assert "abelian endpoints" in capsys.readouterr().err
+
     def test_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("object a\nuniverse finite\norder 2\ntable\n0 1\n1 1\ncone 0\n")

@@ -114,6 +114,18 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="abelian endpoints"):
             ff.parse_workspace(text)
 
+    @pytest.mark.parametrize(
+        "dom,cod,block,fragment",
+        [
+            ("zn", "c3", "matrix\n1\n", "abelian endpoints"),
+            ("c3", "zn", "map 0 0 0\n", "finite endpoints"),
+        ],
+    )
+    def test_mixed_universe_endpoints(self, dom, cod, block, fragment):
+        text = ff.format_workspace(demo_workspace()) + f"\nmorphism bad : {dom} -> {cod}\n{block}"
+        with pytest.raises(ParseError, match=fragment):
+            ff.parse_workspace(text)
+
     def test_map_needs_every_element(self):
         text = (
             "object c2\nuniverse finite\norder 2\ntable\n0 1\n1 0\ncone 0 1\n"
@@ -137,6 +149,12 @@ class TestValidationAtLoad:
             "morphism neg : zn -> zn\nmatrix\n-1\n"
         )
         with pytest.raises(ValidationError, match="outside the cone"):
+            ff.parse_workspace(text)
+
+    @pytest.mark.parametrize("index", ["-1", "2", "-2"])
+    def test_finite_cone_index_out_of_range(self, index):
+        text = f"object c2\nuniverse finite\norder 2\ntable\n0 1\n1 0\ncone {index}\n"
+        with pytest.raises(ValidationError, match="not an element"):
             ff.parse_workspace(text)
 
     def test_bad_table_rejected(self):

@@ -12,16 +12,24 @@ Z = ab.make_group(1, [])
 ZZ = ab.make_group(2, [])
 S3, _ = fg.group_from_permutations([(1, 0, 2), (0, 2, 1)])
 
-NAT = mp.make_monoid(Z, [[1]])
-EVEN = mp.make_monoid(Z, [[2]])
-FULL = mp.make_monoid(Z, [[1], [-1]])
-M235 = mp.make_monoid(Z, [[2], [3], [-5]])
-HALF = mp.make_monoid(ZZ, [[1, 0], [-1, 0], [0, 1]])
-A3M = mp.make_monoid(S3, [3])
+def monoid(group, gens):
+    return mp.positive_cone(po.make_object(group, gens))
+
+
+def contains(m, x):
+    return po.cone_contains(mp.ambient_object(m), x)
+
+
+NAT = monoid(Z, [[1]])
+EVEN = monoid(Z, [[2]])
+FULL = monoid(Z, [[1], [-1]])
+M235 = monoid(Z, [[2], [3], [-5]])
+HALF = monoid(ZZ, [[1, 0], [-1, 0], [0, 1]])
+A3M = monoid(S3, [3])
 
 
 def brute_unit_sweep(m, bound):
-    return [x for x in range(-bound, bound + 1) if mp.mon_contains(m, (x,))]
+    return [x for x in range(-bound, bound + 1) if contains(m, (x,))]
 
 
 class TestCompletion:
@@ -42,10 +50,10 @@ class TestCompletion:
         assert incl.mapping == (0, 3, 4)
 
     def test_membership(self):
-        assert mp.mon_contains(EVEN, (4,))
-        assert not mp.mon_contains(EVEN, (3,))
-        assert mp.mon_certificate(M235, (1,)) is not None
-        assert mp.mon_contains(A3M, 4) and not mp.mon_contains(A3M, 1)
+        assert contains(EVEN, (4,))
+        assert not contains(EVEN, (3,))
+        assert po.cone_certificate(mp.ambient_object(M235), (1,)) is not None
+        assert contains(A3M, 4) and not contains(A3M, 1)
 
     def test_ore_condition(self):
         assert mp.ore_condition_failure(M235) is None
@@ -93,7 +101,7 @@ class TestTorsionTheory:
 class TestFactorizations:
     def test_kernel_factorization(self):
         ses = mp.torsion_ses(M235)
-        T = mp.make_monoid(Z, [[1], [-1]])
+        T = monoid(Z, [[1], [-1]])
         h = mp.make_mon_morphism(T, M235, [[1, 1, 1], [4, 4, 4]])
         fac = mp.factor_through_units(h, ses.units)
         assert fac is not None
@@ -177,6 +185,8 @@ class TestSpecialSes:
     def test_subgroup_must_contain_cone(self):
         with pytest.raises(ValidationError, match="contain"):
             mp.special_ses(po.make_object(Z, [[1]]), [[2]])
+        with pytest.raises(ValidationError, match="contain"):
+            mp.special_ses(po.make_object(S3, [3]), [])
 
     def test_finite(self):
         s3a3 = po.make_object(S3, [3])

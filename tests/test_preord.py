@@ -232,6 +232,18 @@ class TestFunctors:
         assert po.mor_eq(po.compose_preord(sgn, pic), po.compose_preord(pid, cf))
 
 
+class TestBackends:
+    def test_factor_epi_rejects_maps_that_do_not_factor(self):
+        c2 = fg.cyclic_group(2)
+        v4 = fg.product_group(c2, c2)
+        fin = po.discrete_object(v4.group).backend
+        assert fin.factor_epi(v4.proj_right, v4.proj_left) is None
+        assert fin.map_eq(fin.factor_epi(v4.proj_left, v4.proj_left), fg.fin_identity(c2))
+        first = ab.make_morphism(ZZ, Z, [[1], [0]])
+        second = ab.make_morphism(ZZ, Z, [[0], [1]])
+        assert ZN.backend.factor_epi(second, first) is None
+
+
 class TestPullbackPushout:
     def test_pullback_of_projection(self):
         prj = po.make_morphism(QUAD, ZN, [[1], [0]])
