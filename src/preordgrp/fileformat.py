@@ -199,7 +199,7 @@ def parse_workspace(text: str, universe_cap: int | None = None) -> Workspace:
 def _int_line(keyword: str, values) -> str:
     if not values:
         return keyword
-    return keyword + " " + " ".join(str(v) for v in values)
+    return keyword + " " + " ".join([str(v) for v in values])
 
 
 def format_object(name: str, obj: po.PreOrdObj) -> str:
@@ -217,7 +217,8 @@ def format_object(name: str, obj: po.PreOrdObj) -> str:
         lines.append("table")
         n = obj.group.order
         for i in range(n):
-            lines.append(" ".join(str(v) for v in obj.group.table[i * n : (i + 1) * n]))
+            # join on a list: faster than on a generator or map(str, ...)
+            lines.append(" ".join([str(v) for v in obj.group.table[i * n : (i + 1) * n]]))
         lines.append(_int_line("cone", sorted(obj.cone)))
     return "\n".join(lines)
 
@@ -227,7 +228,7 @@ def format_morphism(name: str, mor: po.PreOrdMor, dom_name: str, cod_name: str) 
     if mor.dom.universe == po.ABELIAN:
         lines.append("matrix")
         for i in range(mor.map.matrix.rows):
-            lines.append(" ".join(str(v) for v in mor.map.matrix.row(i)))
+            lines.append(" ".join([str(v) for v in mor.map.matrix.row(i)]))
     else:
         lines.append(_int_line("map", mor.map.mapping))
     return "\n".join(lines)

@@ -1,15 +1,33 @@
 """Finite groups given by Cayley tables.
 
 Elements are 0..order-1 with 0 the identity; table[a * order + b] is a * b.
-Validation checks the identity row/column, the Latin square property, and
-associativity via Light's test on a greedy generating set, so tables of a
-few hundred elements validate quickly.  Subgroups, normal closures, and
-quotients all return groups whose element 0 is again the identity (subgroup
-elements keep ambient order, coset representatives are coset minima).
+Subgroups, normal closures, and quotients all return groups whose element 0
+is again the identity (subgroup elements keep ambient order, coset
+representatives are coset minima).
+
+`FiniteGroup.generators` is a greedy generating set: each generator is the
+least element not reached from 0 by right multiplication by the earlier
+ones, an O(n k) closure.  Three checks run on the generators alone:
+
+- Associativity (Light's test): the g with (ag)c = a(gc) for all a, c
+  contain 0 and are closed under the product, (a(gh))c = ((ag)h)c =
+  (ag)(hc) = a(g(hc)) = a((gh)c), without assuming associativity.  Once
+  they hold the generators they hold every element.
+- Homomorphisms: f(ag) = f(a)f(g) for all a and for g = 0 and each
+  generator gives f(0) = 0 and, by induction on the word length of b = b'g,
+  f(ab) = f((ab')g) = f(ab')f(g) = f(a)f(b')f(g) = f(a)f(b).
+- Normality: for any subset S, the x with xSx^-1 inside S are closed under
+  the product, as (xy)S(xy)^-1 = x(ySy^-1)x^-1.
+
+The other checks work on whole rows and columns.  A failed check reruns the
+element-by-element scan, so each witness is the first failing one; only the
+associativity triple depends on the generators.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -32,6 +50,16 @@ class FiniteGroup:
             inv[a] = row.index(0)
         return tuple(inv)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """The greedy generating set described in the module docstring."""
+        gens, reached = [], {0}
+        for a in range(self.order):
+            if a not in reached:
+                gens.append(a)
+                reached = _closure_set(self.table, self.order, gens)
+        return tuple(gens)
+
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
@@ -43,34 +71,38 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _closure_set(table, order, seed):
-    out = set(seed)
-    out.add(0)
-    frontier = list(out)
+def _closure_set(table, order, gens):
+    """{0} closed under right multiplication by gens: every left-normed product."""
+    gens = set(gens)
+    out = {0}
+    frontier = [0]
     while frontier:
-        a = frontier.pop()
-        for b in list(out):
-            for c in (table[a * order + b], table[b * order + a]):
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
+        row = frontier.pop() * order
+        for g in gens:
+            c = table[row + g]
+            if c not in out:
+                out.add(c)
+                frontier.append(c)
     return out
 
 
 def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
-    rows = [list(r) for r in rows]
+    rows = [tuple(r) for r in rows]
     n = len(rows)
     if n == 0:
         raise ValidationError("empty multiplication table")
     if n > cap:
         raise ResourceLimitError(f"group order {n} exceeds cap {cap}")
+    elements = set(range(n))
     for a, row in enumerate(rows):
         if len(row) != n:
             raise ValidationError(f"table row {a} has {len(row)} entries, expected {n}")
+        if {int}.issuperset(map(type, row)) and elements.issuperset(row):
+            continue
         for b, e in enumerate(row):
             if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
                 raise ValidationError(f"table entry at ({a}, {b}) is {e!r}")
-    flat = tuple(e for row in rows for e in row)
+    flat = tuple(chain.from_iterable(rows))
     for a in range(n):
         if flat[a] != a:
             raise ValidationError(f"0 is not a left identity: 0 . {a} = {flat[a]}")
@@ -79,27 +111,16 @@ def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
     for a in range(n):
         if len(set(flat[a * n : (a + 1) * n])) != n:
             raise ValidationError(f"row {a} repeats an element", witness=a)
-        if len({flat[b * n + a] for b in range(n)}) != n:
+        if len(set(flat[a::n])) != n:
             raise ValidationError(f"column {a} repeats an element", witness=a)
-    # Light's test: associativity on a generating set implies it everywhere
-    gens = []
-    closure = {0}
-    while len(closure) < n:
-        x = min(set(range(n)) - closure)
-        gens.append(x)
-        closure = _closure_set(flat, n, closure | {x})
-    for g in gens:
-        for a in range(n):
-            ag = flat[a * n + g]
-            arow = a * n
-            agrow = ag * n
-            grow = g * n
-            for c in range(n):
-                if flat[agrow + c] != flat[arow + flat[grow + c]]:
-                    raise ValidationError(
-                        f"not associative at ({a}, {g}, {c})", witness=(a, g, c)
-                    )
     group = FiniteGroup(n, flat)
+    # Light's test on the generators: row a.g must be row a read at row g
+    for g in group.generators:
+        times_g = itemgetter(*rows[g])
+        for a in range(n):
+            if rows[rows[a][g]] != times_g(rows[a]):
+                c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][rows[g][c]])
+                raise ValidationError(f"not associative at ({a}, {g}, {c})", witness=(a, g, c))
     for a in range(n):
         b = group.inv(a)
         if group.mul(b, a) != 0:
@@ -170,12 +191,17 @@ def make_fin_morphism(dom: FiniteGroup, cod: FiniteGroup, mapping) -> FinMorphis
     for a, v in enumerate(mapping):
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < cod.order:
             raise ValidationError(f"mapping[{a}] = {v!r} is not a codomain element")
-    for a in range(dom.order):
-        for b in range(dom.order):
-            if mapping[dom.mul(a, b)] != cod.mul(mapping[a], mapping[b]):
-                raise ValidationError(
-                    f"not a homomorphism at ({a}, {b})", witness=(a, b)
-                )
+    n, m = dom.order, cod.order
+    at_images = itemgetter(*mapping)  # s -> (s[f(0)], ..., s[f(n - 1)])
+    # f(a . g) is f read at column g; f(a) . f(g) is column f(g) read at f(a)
+    if not all(
+        itemgetter(*dom.table[g::n])(mapping) == at_images(cod.table[mapping[g] :: m])
+        for g in (0,) + dom.generators
+    ):
+        for a in range(dom.order):
+            for b in range(dom.order):
+                if mapping[dom.mul(a, b)] != cod.mul(mapping[a], mapping[b]):
+                    raise ValidationError(f"not a homomorphism at ({a}, {b})", witness=(a, b))
     return FinMorphism(dom, cod, mapping)
 
 
@@ -213,12 +239,20 @@ def submonoid_closure(g: FiniteGroup, gens) -> frozenset:
     under the product, but callers that track cones only rely on the
     submonoid property.
     """
-    return frozenset(_closure_set(g.table, g.order, set(gens)))
+    return frozenset(_closure_set(g.table, g.order, gens))
 
 
 def conjugation_witness(g: FiniteGroup, subset) -> tuple | None:
     """(x, a) with x . a . x^-1 outside the subset, or None if closed."""
     sub = frozenset(subset)
+    n = g.order
+    for x in g.generators:
+        # a -> x . a along row x, then b -> b . x^-1 along column x^-1
+        row, column = g.table[x * n : (x + 1) * n], g.table[g.inv(x) :: n]
+        if not sub.issuperset(map(column.__getitem__, map(row.__getitem__, sub))):
+            break
+    else:
+        return None
     for x in range(g.order):
         for a in sub:
             if g.conj(x, a) not in sub:

@@ -147,13 +147,8 @@ def _element_order(g: fg.FiniteGroup, a: int) -> int:
 
 @lru_cache(maxsize=None)
 def _generator_words(g: fg.FiniteGroup):
-    """A greedy generating set and, per element, a word over it."""
-    gens = []
-    reached = frozenset({0})
-    for a in range(g.order):
-        if a not in reached:
-            gens.append(a)
-            reached = fg.submonoid_closure(g, gens)
+    """The group's greedy generating set and, per element, a word over it."""
+    gens = g.generators
     words = {0: ()}
     frontier = [0]
     while frontier:
@@ -163,7 +158,7 @@ def _generator_words(g: fg.FiniteGroup):
             if y not in words:
                 words[y] = words[x] + (i,)
                 frontier.append(y)
-    return tuple(gens), tuple(words[x] for x in range(g.order))
+    return gens, tuple(words[x] for x in range(g.order))
 
 
 @lru_cache(maxsize=None)

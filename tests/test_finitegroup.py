@@ -89,6 +89,14 @@ class TestClosures:
     def test_normal_closure_of_transposition_is_everything(self):
         assert fg.normal_closure(S3, [TRANSPOSITION]) == frozenset(range(6))
 
+    def test_conjugation_test_uses_inverses(self):
+        # x . S . x stays inside S for both generators of A4, x . S . x^-1 does not
+        a4, _ = fg.group_from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)])
+        subset = {0, 1, 2, 3, 7, 10}
+        assert a4.generators == (1, 3)
+        assert all(a4.mul(a4.mul(x, a), x) in subset for x in (1, 3) for a in subset)
+        assert fg.conjugation_witness(a4, subset) == (1, 3)
+
 
 class TestSubgroupsQuotients:
     def test_a3_presents_as_cyclic_three(self):
@@ -130,6 +138,11 @@ class TestMorphisms:
     def test_rejects_non_homomorphism(self):
         with pytest.raises(ValidationError, match="homomorphism"):
             fg.make_fin_morphism(S3, fg.cyclic_group(2), (0, 1, 0, 0, 0, 1))
+
+    def test_identity_must_map_to_identity(self):
+        # the trivial group has no generators: only the check at 0 sees this
+        with pytest.raises(ValidationError, match=r"homomorphism at \(0, 0\)"):
+            fg.make_fin_morphism(fg.trivial_group(), fg.cyclic_group(2), (1,))
 
     def test_compose_identity_zero(self):
         z3 = fg.cyclic_group(3)

@@ -1,0 +1,198 @@
+"""The generator-based finite checks against the loops they replaced.
+
+`finitegroup` decides group tables, homomorphisms and normality on the
+group's greedy generating set; tests/finite_reference.py keeps the
+per-element loops.  Both run on the benchmark generator's permutation groups
+of order at most 60, on those tables with one entry changed, on sampled
+homomorphisms with one image changed and on random subsets.  Results and
+error messages must agree, except for the triple that witnesses a failed
+associativity check: the two generating sets can differ on a table that is
+not associative, so there the new triple only has to fail.
+"""
+
+import math
+import random
+import sys
+from pathlib import Path
+
+import finite_reference as ref
+import pytest
+
+from preordgrp import finitegroup as fg
+from preordgrp.errors import PreordError, ValidationError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+
+NAMES = ("C2", "C3", "C4", "C5", "S3", "D4", "D5", "A4", "S4", "A5")
+PRODUCTS = [(name,) for name in NAMES] + [
+    factors for order in range(2, 61) for factors in gen.factorizations(order)
+]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreordError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def rows_of(order, table):
+    return [list(table[a * order : (a + 1) * order]) for a in range(order)]
+
+
+def assert_same_table_outcome(rows):
+    new, old = outcome(fg.make_finite_group, rows), outcome(ref.make_finite_group, rows)
+    if isinstance(new, tuple) and isinstance(old, tuple) and "not associative" in old[1]:
+        assert new[0] == "ValidationError" and new[1].startswith("not associative at ")
+        a, g, c = new[2]
+        assert rows[rows[a][g]][c] != rows[a][rows[g][c]]
+    else:
+        assert new == old
+
+
+def changed_entry(rng, rows):
+    rows = [row[:] for row in rows]
+    n = len(rows)
+    a, b = rng.randrange(n), rng.randrange(n)
+    old = rows[a][b]
+    rows[a][b] = rng.choice(
+        [v for v in range(n) if v != old] + [n, -1, float(old), bool(old % 2), str(old)]
+    )
+    return rows
+
+
+def flipped_intercalate(rng, group, rows):
+    """rows with a 2x2 subsquare a.b, a.sb / as.b, as.sb (s an involution)
+    swapped: still a loop, and no longer a group table."""
+    n = group.order
+    involutions = [s for s in range(1, n) if group.mul(s, s) == 0]
+    if n < 6 or not involutions:
+        return None
+    s = rng.choice(involutions)
+    others = [x for x in range(1, n) if x != s]
+    a, b = rng.choice(others), rng.choice(others)
+    rows = [row[:] for row in rows]
+    a2, b2 = group.mul(a, s), group.mul(s, b)
+    rows[a][b], rows[a][b2] = rows[a][b2], rows[a][b]
+    rows[a2][b], rows[a2][b2] = rows[a2][b2], rows[a2][b]
+    return rows
+
+
+def projection(factors, k):
+    """The projection of the product onto factor k, as gen.finite_file writes it."""
+    radix = [gen.permutation_group(name)[0] for name in factors]
+    below = math.prod(radix[k + 1 :])
+    return [(a // below) % radix[k] for a in range(math.prod(radix))]
+
+
+def word_map(rng, dom, cod):
+    """Images of dom's generators drawn at random, extended along words."""
+    images = {g: rng.randrange(cod.order) for g in dom.generators}
+    mapping = {0: 0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g, y in images.items():
+            if dom.mul(x, g) not in mapping:
+                mapping[dom.mul(x, g)] = cod.mul(mapping[x], y)
+                frontier.append(dom.mul(x, g))
+    return [mapping[x] for x in range(dom.order)]
+
+
+@pytest.mark.parametrize("factors", PRODUCTS, ids="x".join)
+def test_finite_checks_match_reference(factors):
+    rng = random.Random(f"finite-reference:{'x'.join(factors)}")
+    order, table = gen.product_table(factors)
+    rows = rows_of(order, table)
+    group = fg.make_finite_group(rows)
+    assert group == ref.make_finite_group(rows)
+
+    # tables: one entry changed, and one intercalate flipped
+    for _ in range(8):
+        assert_same_table_outcome(changed_entry(rng, rows))
+    for _ in range(3):
+        loop = flipped_intercalate(rng, group, rows)
+        if loop is not None:
+            assert_same_table_outcome(loop)
+
+    # homomorphisms: projections, identity, zero and word maps, each also
+    # with one image changed
+    maps = []
+    for k, name in enumerate(factors):
+        cod = fg.make_finite_group(rows_of(*gen.permutation_group(name)))
+        maps.append((cod, projection(factors, k)))
+        maps.append((cod, word_map(rng, group, cod)))
+    maps += [(group, list(range(order))), (group, [0] * order)]
+    maps.append((group, word_map(rng, group, group)))
+    for cod, mapping in maps:
+        assert outcome(fg.make_fin_morphism, group, cod, mapping) == outcome(
+            ref.make_fin_morphism, group, cod, mapping
+        )
+        for _ in range(3):
+            changed = mapping[:]
+            a = rng.randrange(order)
+            changed[a] = rng.choice(
+                [v for v in range(cod.order) if v != mapping[a]] + [cod.order, True]
+            )
+            assert outcome(fg.make_fin_morphism, group, cod, changed) == outcome(
+                ref.make_fin_morphism, group, cod, changed
+            )
+
+    # closures and normality: random subsets (mostly not normal, not
+    # closed), the subgroups they generate and their normal closures
+    for _ in range(6):
+        subset = rng.sample(range(order), rng.randrange(order + 1))
+        gens = rng.sample(range(order), rng.randrange(min(4, order + 1)))
+        assert fg._closure_set(table, order, gens) == ref._closure_set(table, order, gens)
+        closed = fg.submonoid_closure(group, gens)
+        assert closed == ref.submonoid_closure(group, gens)
+        for s in (subset, closed, fg.normal_closure(group, gens)):
+            assert fg.conjugation_witness(group, s) == ref.conjugation_witness(group, s)
+
+
+def reduced_latin_squares(n):
+    """Every Latin square on range(n) whose row 0 and column 0 are the identity."""
+    rows = [[a if b == 0 else b if a == 0 else None for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [row[:] for row in rows]
+            return
+        a, b = cells[i]
+        for v in range(n):
+            if v not in rows[a] and all(rows[r][b] != v for r in range(a)):
+                rows[a][b] = v
+                yield from fill(i + 1)
+                rows[a][b] = None
+
+    yield from fill(0)
+
+
+def is_associative(rows):
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def test_light_test_decides_every_small_loop():
+    """make_finite_group accepts a loop exactly when it is associative."""
+    counts = {}
+    for n in range(1, 7):
+        for rows in reduced_latin_squares(n):
+            counts[n] = counts.get(n, 0) + 1
+            try:
+                fg.make_finite_group(rows)
+            except ValidationError as exc:
+                assert str(exc).startswith("not associative at ")
+                a, g, c = exc.witness
+                assert rows[rows[a][g]][c] != rows[a][rows[g][c]]
+                assert not is_associative(rows)
+            else:
+                assert is_associative(rows)
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
