@@ -11,7 +11,11 @@ Conventions fixed here and relied on elsewhere:
   * smith_normal_form(m) returns (d, u, v) with u * m * v = d diagonal,
     nonnegative, each entry dividing the next.
   * hilbert_basis(a) returns the minimal nonzero solutions of a * x = 0,
-    x >= 0, via the Contejean-Devie completion procedure.
+    x >= 0, via the Contejean-Devie completion procedure.  It visits the
+    same states as the plain loop in tests/hilbert_reference.py, each
+    packed into two ints: the state t in fields of
+    (state_cap + 1).bit_length() + 1 bits, and its Gram vector d = G*t,
+    biased, in fields of ((state_cap + 1) * max|G|).bit_length() + 1 bits.
   * nonneg_search(g, m, x) returns nonneg_feasible's answer with the
     number of completion states visited: every state_cap at least that
     number gives the same answer, every smaller one raises
@@ -19,7 +23,6 @@ Conventions fixed here and relied on elsewhere:
 """
 
 from dataclasses import dataclass
-from operator import add, ge, mul
 
 from .errors import DimensionError, ResourceLimitError
 
@@ -399,57 +402,83 @@ def unimodular_inverse(v: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=v.rows)
 
 
-def _hilbert_completion(system: IntMatrix, state_cap: int, early) -> tuple[tuple[Vec, ...], int]:
-    """hilbert_basis and the number of states visited, the same states as
-    the plain loop kept in tests/hilbert_reference.py visits."""
-    nvars = system.cols
-    cols = [system.col(j) for j in range(nvars)]
-    zero_val = (0,) * system.rows
+def _hilbert_completion(cols: list[Vec], state_cap: int, early) -> tuple[tuple[Vec, ...], int]:
+    """hilbert_basis of the system with these columns, and the number of
+    states visited: the same states, level by level, as the plain loop kept
+    in tests/hilbert_reference.py.
 
-    basis: list[Vec] = []
-    # by_coord[i][v]: the basis elements b with b[i] == v > 0.
-    by_coord: list[dict[int, list[Vec]]] = [{} for _ in range(nvars)]
-    frontier: dict[Vec, Vec] = {}
-    for i in range(nvars):
-        t = tuple(1 if j == i else 0 for j in range(nvars))
-        frontier[t] = cols[i]
-    visited = len(frontier)
+    A state t carries d = G*t, G the Gram matrix of the columns, in place of
+    A*t: d[i] = <A*t, A*e_i> is the branch test, and d = 0 exactly when
+    A*t = 0, since t.d = |A*t|^2.  t and d are each packed into one int,
+    coordinate j in field j: t in fields of tw bits, d biased by 2^(dw-1) in
+    fields of dw bits.  A field of d has its top bit set exactly when
+    d[j] >= 0, and d = 0 packs to `top`, those top bits alone.
+
+    Bounds: a level-L state has coordinate sum L, and level L is built only
+    after levels 1..L-1 each added a state to visited <= state_cap, so
+    L <= state_cap + 1.  Hence t's fields stay below 2^(tw-1), and with
+    `high` the top bits of t's fields, b <= s componentwise exactly when
+    ((s | high) - b) & high == high: no field borrows.  And |d[j]| <=
+    L * max|G| < 2^(dw-1) keeps every biased field of d inside [1, 2^dw).
+    """
+    nvars = len(cols)
+    visited = nvars
     if visited > state_cap:
         raise ResourceLimitError(f"Hilbert completion exceeded {state_cap} states")
+    gram = [[vec_dot(a, b) for b in cols] for a in cols]
+    max_g = max((abs(g) for row in gram for g in row), default=0)
+    tw = (state_cap + 1).bit_length() + 1
+    dw = ((state_cap + 1) * max_g).bit_length() + 1
+    field = (1 << tw) - 1
+    high = sum(1 << (j * tw + tw - 1) for j in range(nvars))
+    top = sum(1 << (j * dw + dw - 1) for j in range(nvars))
+    # per coordinate i: e_i, the mask of t's field i, and G[i] packed unbiased
+    moves = [
+        (1 << (i * tw), field << (i * tw), sum(g << (j * dw) for j, g in enumerate(row)))
+        for i, row in enumerate(gram)
+    ]
 
+    def unpack(t: int) -> Vec:
+        return tuple((t >> (j * tw)) & field for j in range(nvars))
+
+    basis: list[int] = []
+    # by_coord[s & mask_i]: the basis elements b with b[i] == s[i] > 0.  Keys
+    # of different coordinates sit in different fields, so one dict holds all.
+    by_coord: dict[int, list[int]] = {}
+    frontier = {unit: top + g_i for unit, _, g_i in moves}
     while frontier:
-        solved = sorted(t for t, val in frontier.items() if val == zero_val)
+        solved = [t for t, d in frontier.items() if d == top]
+        basis += solved
         for b in solved:
-            basis.append(b)
-            for i, v in enumerate(b):
-                if v:
-                    by_coord[i].setdefault(v, []).append(b)
-        if early is not None and any(early(s) for s in solved):
-            return tuple(sorted(basis)), visited
+            for _, mask, _ in moves:
+                if b & mask:
+                    by_coord.setdefault(b & mask, []).append(b)
+        if early is not None and any(early(unpack(s)) for s in solved):
+            return tuple(sorted(map(unpack, basis))), visited
         # The next level's key set does not depend on the order t is taken in.
-        nxt: dict[Vec, Vec] = {}
+        nxt: dict[int, int] = {}
         while frontier:
-            t, val = frontier.popitem()
-            if val == zero_val:
-                continue
-            for i, col in enumerate(cols):
-                if sum(map(mul, val, col)) >= 0:
-                    continue
-                v = t[i] + 1
-                s = t[:i] + (v,) + t[i + 1 :]
+            t, d = frontier.popitem()
+            neg = ~d & top  # the fields with d[i] < 0, lowest i first; none once d = 0
+            while neg:
+                low = neg & -neg
+                neg ^= low
+                unit, mask, g_i = moves[low.bit_length() // dw - 1]
+                s = t + unit
                 if s in nxt:
                     continue
                 # No basis element lies below t, so one below s = t + e_i
                 # must agree with s in coordinate i.
-                rivals = by_coord[i].get(v)
-                if rivals and any(all(map(ge, s, b)) for b in rivals):
-                    continue
-                nxt[s] = tuple(map(add, val, col))
+                for b in by_coord.get(s & mask, ()):
+                    if ((s | high) - b) & high == high:
+                        break
+                else:
+                    nxt[s] = d + g_i
         visited += len(nxt)
         if visited > state_cap:
             raise ResourceLimitError(f"Hilbert completion exceeded {state_cap} states")
         frontier = nxt
-    return tuple(sorted(basis)), visited
+    return tuple(sorted(map(unpack, basis))), visited
 
 
 def hilbert_basis(
@@ -468,7 +497,7 @@ def hilbert_basis(
     and the basis returned so far may be incomplete; existence queries
     use this to avoid completing the enumeration.
     """
-    return _hilbert_completion(system, state_cap, early)[0]
+    return _hilbert_completion([system.col(j) for j in range(system.cols)], state_cap, early)[0]
 
 
 def monoid_zero_solutions(
@@ -484,16 +513,8 @@ def monoid_zero_solutions(
     k, n = gens.rows, gens.cols
     if lattice.cols != n:
         raise DimensionError("lattice columns must match generator columns")
-    r = lattice.rows
-    cols = []
-    for i in range(k):
-        cols.append(gens.row(i))
-    for j in range(r):
-        cols.append(lattice.row(j))
-    for j in range(r):
-        cols.append(vec_neg(lattice.row(j)))
-    system = IntMatrix.from_rows(cols, cols=n).transpose() if cols else IntMatrix.zeros(n, 0)
-    full = hilbert_basis(system, state_cap)
+    lat = lattice.to_rows()
+    full, _ = _hilbert_completion([*gens.to_rows(), *lat, *map(vec_neg, lat)], state_cap, None)
     seen = set()
     out = []
     for sol in full:
@@ -518,12 +539,9 @@ def nonneg_search(
         raise DimensionError("dimension mismatch in nonneg_feasible")
     if vec_is_zero(x):
         return ((0,) * k, (0,) * r), 0
-    rows = [gens.row(i) for i in range(k)]
-    rows += [modulus.row(j) for j in range(r)]
-    rows += [vec_neg(modulus.row(j)) for j in range(r)]
-    rows.append(vec_neg(x))
-    system = IntMatrix.from_rows(rows, cols=n).transpose()
-    basis, visited = _hilbert_completion(system, state_cap, early=lambda s: s[-1] == 1)
+    mod = modulus.to_rows()
+    cols = [*gens.to_rows(), *mod, *map(vec_neg, mod), vec_neg(x)]
+    basis, visited = _hilbert_completion(cols, state_cap, early=lambda s: s[-1] == 1)
     for sol in basis:
         if sol[-1] != 1:
             continue
@@ -532,7 +550,8 @@ def nonneg_search(
         got = row_times_matrix(a, gens) if k else (0,) * n
         if r:
             got = vec_add(got, row_times_matrix(t, modulus))
-        assert got == x, "homogenization produced an invalid certificate"
+        if got != x:
+            raise RuntimeError("homogenization produced an invalid certificate")
         return (a, t), visited
     return None, visited
 

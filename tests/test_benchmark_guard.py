@@ -1,10 +1,13 @@
-"""The benchmark's traced session-finite run, at tiny size, still completes.
+"""The benchmark's traced harness and session-finite runs, at tiny size,
+still complete.
 
 perfbench/run.py wraps the functions its FUNCTION_METRICS table names and
-perfbench/frozen.py calls `make_finite_group(rows)`,
-`normal_closure(group, list)` and `quotient_by_normal(group, set)`.  A
-renamed or re-signed function breaks the traced run, not the package's own
-tests, so this test runs it (about seven seconds).
+perfbench/frozen.py calls `intmat.nonneg_feasible(gens, modulus, x,
+state_cap)`, `make_finite_group(rows)`, `normal_closure(group, list)` and
+`quotient_by_normal(group, set)`.  A renamed or re-signed function breaks
+the traced run, not the package's own tests.  The harness run also exits 1
+when a claim does not pass or a sweep records fewer morphisms than it asked
+for.  So these tests run both (about six seconds each).
 """
 
 import importlib
@@ -19,9 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 
 
-def test_traced_tiny_session_finite_run_passes():
+def _assert_traced_tiny_run_passes(workload):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "session-finite", "--seed", "7",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "7",
          "--seconds", "1", "--tiny", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
@@ -30,6 +33,14 @@ def test_traced_tiny_session_finite_run_passes():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_tiny_session_finite_run_passes():
+    _assert_traced_tiny_run_passes("session-finite")
+
+
+def test_traced_tiny_harness_run_passes():
+    _assert_traced_tiny_run_passes("harness")
 
 
 def test_function_metric_labels_name_public_functions():

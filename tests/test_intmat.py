@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +331,24 @@ class TestNonnegFeasible:
         a, t = nonneg_feasible(IntMatrix.from_rows([[5]]), IntMatrix.zeros(0, 1), (0,))
         assert a == (0,) and t == ()
 
+    def test_corrupted_certificate_raises_under_optimize(self):
+        # The re-check must not be an assert: python -O strips those.
+        code = (
+            "from preordgrp import intmat\n"
+            "intmat._hilbert_completion = lambda cols, cap, early: (((1, 1),), 2)\n"
+            "try:\n"
+            "    intmat.nonneg_search(intmat.IntMatrix.from_rows([[2]]), intmat.IntMatrix.zeros(0, 1), (4,))\n"
+            "except RuntimeError as e:\n"
+            "    print(e)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "homogenization produced an invalid certificate\n"
+
     def test_against_brute_force(self):
         rng = random.Random(808)
         for _ in range(60):
@@ -366,6 +387,22 @@ def _outcome(call):
         return po.UNDECIDED
 
 
+def _same_as_reference(m, early=None, cap=3_000):
+    """Assert the completion visits as many states as the reference loop and
+    finds the same basis; the visited count, or None if both exceed cap."""
+    ref = _outcome(lambda: reference_completion(m, cap, early))
+    if ref is po.UNDECIDED:
+        assert _outcome(lambda: hilbert_basis(m, cap, early)) is po.UNDECIDED
+        return None
+    basis, visited = ref
+    assert hilbert_basis(m, visited, early) == basis
+    with pytest.raises(ResourceLimitError):
+        hilbert_basis(m, visited - 1, early)
+    with pytest.raises(ResourceLimitError):
+        reference_completion(m, visited - 1, early)
+    return visited
+
+
 class TestAgainstReferenceLoop:
     """The tuned completion against a copy of the plain loop (tests/hilbert_reference.py)."""
 
@@ -378,18 +415,62 @@ class TestAgainstReferenceLoop:
                 [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)], cols=cols
             )
             early = (lambda s: s[-1] == 1) if trial % 2 else None
-            ref = _outcome(lambda: reference_completion(m, 3_000, early))
-            if ref is po.UNDECIDED:
-                assert _outcome(lambda: hilbert_basis(m, 3_000, early)) is po.UNDECIDED
-                continue
-            decided += 1
-            basis, visited = ref
-            assert hilbert_basis(m, visited, early) == basis
-            with pytest.raises(ResourceLimitError):
-                hilbert_basis(m, visited - 1, early)
-            with pytest.raises(ResourceLimitError):
-                reference_completion(m, visited - 1, early)
+            decided += _same_as_reference(m, early) is not None
         assert decided >= 30
+
+    def test_smallest_caps(self):
+        for rows in ([[0]], [[0, 0]], [[1]], [[1, -1]], [[1, -1], [-1, 1]], [[2, 3, -5]]):
+            for cap in (0, 1, 2):
+                _same_as_reference(IntMatrix.from_rows(rows), cap=cap)
+
+    def test_coordinate_climbing_to_the_cap(self):
+        # (1, 0) climbs to (k, 1): k + 2 states, so the cap is k + 2.
+        for k in range(1, 40):
+            assert _same_as_reference(IntMatrix.from_rows([[1, -k]])) == k + 2
+        # Here the climb to (k, 1, 0) passes states t + e_2 that lie above
+        # the basis element (k/2, 1, 1) while t[0] exceeds half the cap.
+        for k in range(2, 50, 2):
+            assert _same_as_reference(IntMatrix.from_rows([[1, -k, k // 2]])) is not None
+
+    def test_entries_of_a_billion(self):
+        e = 10**9
+        for rows in (
+            [[e, -e]],
+            [[e, -2 * e, 3 * e, -e]],
+            [[e, e, -e, -e]],
+            [[e, -2 * e, 0, -3 * e], [0, -2, 2, 3]],
+            [[2 * e, e, -2 * e], [-2, 1, 2]],
+        ):
+            assert _same_as_reference(IntMatrix.from_rows(rows)) is not None, rows
+            assert _same_as_reference(IntMatrix.from_rows(rows), lambda s: s[-1] == 1) is not None
+
+    def test_no_columns_and_no_rows(self):
+        for m in (IntMatrix.zeros(0, 0), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 1),
+                  IntMatrix.zeros(0, 4), IntMatrix.zeros(2, 3)):
+            for early in (None, lambda s: s[-1] == 1):
+                assert _same_as_reference(m, early) == m.cols
+        none = IntMatrix.zeros(0, 2)
+        assert nonneg_search(none, none, (1, 0)) == (None, 1)
+        assert nonneg_search(IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0), ()) == (((0, 0, 0), ()), 0)
+        assert monoid_zero_solutions(none, none) == ()
+        assert monoid_zero_solutions(IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 0)) == ((0, 1), (1, 0))
+
+    def test_fifteen_variables(self):
+        rng = random.Random(15)
+        for trial in range(6):
+            rows = rng.randint(1, 2)
+            m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(15)] for _ in range(rows)])
+            early = (lambda s: s[-1] == 1) if trial % 2 else None
+            assert _same_as_reference(m, early) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_systems_and_caps(self, data):
+        n = data.draw(st.integers(0, 8))
+        rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=3))
+        cap = data.draw(st.integers(0, 300))
+        early = (lambda s: s[-1] == 1) if data.draw(st.booleans()) else None
+        _same_as_reference(IntMatrix.from_rows(rows, cols=n), early, cap)
 
     def test_membership_visits_as_many_states(self):
         # nonneg_feasible homogenizes over (a, t+, t-, s); see its docstring.
