@@ -73,6 +73,23 @@ class TestConstructions:
         assert "object sgn.zker" in target.read_text()
 
 
+class TestParser:
+    def test_commands_in_order(self):
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert list(sub.choices) == [
+            "kernel", "cokernel", "zkernel", "zcokernel", "classify-mor",
+            "canonical-seq", "classify", "functor-d", "functor-c", "stable",
+            "grpcompletion", "units", "reduce", "compare", "check", "check-one",
+        ]
+        helps = {
+            name: [a.help for a in parser._actions if a.dest == "name"]
+            for name, parser in sub.choices.items()
+        }
+        assert helps["kernel"] == helps["classify-mor"] == ["morphism name"]
+        assert helps["classify"] == helps["compare"] == ["object name"]
+        assert helps["check"] == []
+
+
 class TestChecks:
     def test_check_one_passes(self, capsys):
         assert cli.main(["check-one", "completion", "--samples", "3"]) == 0

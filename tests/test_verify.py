@@ -49,6 +49,24 @@ class TestCertificateFormat:
         assert labels == sorted(labels)
 
 
+class TestKeys:
+    """Object and morphism keys label the DetRng streams of every claim, so
+    their hex strings are pinned: a changed key reseeds the samples."""
+
+    def test_object_keys(self):
+        rel = po.make_object(
+            ab.make_group(3, [[0, 0, 4]]), [[1, 0, 0], [-1, 0, 0], [0, 1, 2]]
+        )
+        assert v._obj_key(ZN) == "9d6d18515f"
+        assert v._obj_key(rel) == "239a6ab0d6"
+        assert v._obj_key(po.make_object(fg.cyclic_group(4), [2])) == "b3945db88f"
+        assert v._obj_key(S3A3) == "6eb4f8a126"
+
+    def test_morphism_keys(self):
+        assert v._mor_key(DOUBLE) == "4bf5717246"
+        assert v._mor_key(po.make_morphism(S3A3, S3A3, (0, 1, 5, 4, 3, 2))) == "c675698c85"
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         for name in ("zker-up-finite", "zcok-up-finite", "ztrivial-finite"):
