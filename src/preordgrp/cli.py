@@ -7,6 +7,12 @@ own.  Monoids print as the object form of their ambient presentation
 (group plus generator cone).  `check` and `check-one` run the
 verification harness and print certificate reports.
 
+The construction commands are one table, COMMANDS: each maps a command
+to the kind of entity it takes, its construction, and the names of the
+values that construction returns.  Flag values print as `label true` or
+`label false` lines, objects and morphisms as one workspace.  The parser
+takes its construction commands from the table.
+
 Exit codes: 0 success or all checks passed, 1 usage or parse error,
 2 validation error, 3 verification failure.
 """
@@ -30,29 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _Emitter:
-    """Collects output blocks, keeping every referenced object defined."""
-
-    def __init__(self):
-        self.ws = ff.Workspace()
-
-    def obj(self, name: str, obj) -> str:
-        if name not in self.ws.objects:
-            self.ws.objects[name] = obj
-        return name
-
-    def mor(self, name: str, mor, dom_name: str, cod_name: str) -> None:
-        self.ws.morphisms[name] = mor
-        self.ws.endpoints[name] = (dom_name, cod_name)
-
-    def text(self) -> str:
-        return ff.format_workspace(self.ws)
-
-
-def _flag_lines(pairs) -> str:
-    return "\n".join(f"{label} {'true' if flag else 'false'}" for label, flag in pairs) + "\n"
-
-
 def _need(ws: ff.Workspace, kind: str, name: str):
     table = ws.objects if kind == "object" else ws.morphisms
     if name not in table:
@@ -60,103 +43,81 @@ def _need(ws: ff.Workspace, kind: str, name: str):
     return table[name]
 
 
-def _run_on_morphism(command: str, ws: ff.Workspace, name: str) -> str:
-    m = _need(ws, "morphism", name)
-    dom_name, cod_name = ws.endpoints[name]
-    out = _Emitter()
-    if command == "kernel":
-        kobj, incl = po.kernel(m)
-        out.obj(f"{name}.ker", kobj)
-        out.obj(dom_name, m.dom)
-        out.mor(f"{name}.ker.incl", incl, f"{name}.ker", dom_name)
-    elif command == "cokernel":
-        qobj, proj = po.cokernel(m)
-        out.obj(cod_name, m.cod)
-        out.obj(f"{name}.coker", qobj)
-        out.mor(f"{name}.coker.proj", proj, cod_name, f"{name}.coker")
-    elif command == "zkernel":
-        kobj, incl = po.z_kernel(m)
-        out.obj(f"{name}.zker", kobj)
-        out.obj(dom_name, m.dom)
-        out.mor(f"{name}.zker.incl", incl, f"{name}.zker", dom_name)
-    elif command == "zcokernel":
-        qobj, proj = po.z_cokernel(m)
-        out.obj(cod_name, m.cod)
-        out.obj(f"{name}.zcok", qobj)
-        out.mor(f"{name}.zcok.proj", proj, cod_name, f"{name}.zcok")
-    else:  # classify-mor
-        flags = po.classify_morphism(m)
-        return _flag_lines(
-            [
-                ("mono", flags.mono),
-                ("epi", flags.epi),
-                ("regular-epi", flags.regular_epi),
-                ("z-trivial", po.is_z_trivial(m)),
-            ]
-        )
-    return out.text()
+def _sequence(x):
+    seq = po.canonical_sequence(x)
+    return seq.torsion, x, seq.torsion_free, seq.kappa, seq.eta
 
 
-def _run_on_object(command: str, ws: ff.Workspace, name: str) -> str:
-    x = _need(ws, "object", name)
-    out = _Emitter()
-    if command == "canonical-seq":
-        seq = po.canonical_sequence(x)
-        out.obj(f"{name}.torsion", seq.torsion)
-        out.obj(name, x)
-        out.obj(f"{name}.torsionfree", seq.torsion_free)
-        out.mor(f"{name}.kappa", seq.kappa, f"{name}.torsion", name)
-        out.mor(f"{name}.eta", seq.eta, name, f"{name}.torsionfree")
-    elif command == "classify":
-        flags = po.classify_object(x)
-        return _flag_lines(
-            [
-                ("torsion", flags.torsion),
-                ("torsion-free", flags.torsion_free),
-                ("z-trivial", flags.torsion and flags.torsion_free),
-            ]
-        )
-    elif command == "functor-d":
-        dx = po.functor_D(x)
-        iota = po.counit_iota(x)
-        out.obj(f"{name}.D", dx)
-        out.obj(name, x)
-        out.mor(f"{name}.iota", iota, f"{name}.D", name)
-    elif command == "functor-c":
-        cx, pi = po.functor_C(x)
-        out.obj(name, x)
-        out.obj(f"{name}.C", cx)
-        out.mor(f"{name}.pi", pi, name, f"{name}.C")
-    elif command == "stable":
-        out.obj(f"{name}.P", mp.ambient_object(mp.positive_cone(x)))
-    elif command == "grpcompletion":
-        out.obj(f"{name}.grp", mp.completion_object(mp.positive_cone(x)))
-    elif command == "units":
-        umon, _ = mp.units(mp.positive_cone(x))
-        out.obj(f"{name}.units", mp.ambient_object(umon))
-    elif command == "reduce":
-        rmon, _ = mp.quotient_by_units(mp.positive_cone(x))
-        out.obj(f"{name}.reduced", mp.ambient_object(rmon))
-    else:  # compare
-        cmpr = mp.comparison_morphism(mp.positive_cone(x))
-        out.obj(f"{name}.grp", cmpr.dom)
-        out.obj(name, x)
-        out.mor(f"{name}.compare", cmpr, f"{name}.grp", name)
-    return out.text()
+def _compare(x):
+    cmpr = mp.comparison_morphism(mp.positive_cone(x))
+    return cmpr.dom, x, cmpr
 
 
-_MORPHISM_COMMANDS = ("kernel", "cokernel", "zkernel", "zcokernel", "classify-mor")
-_OBJECT_COMMANDS = (
-    "canonical-seq",
-    "classify",
-    "functor-d",
-    "functor-c",
-    "stable",
-    "grpcompletion",
-    "units",
-    "reduce",
-    "compare",
-)
+def _object_flags(x):
+    flags = po.classify_object(x)
+    return flags.torsion, flags.torsion_free, flags.torsion and flags.torsion_free
+
+
+def _morphism_flags(m):
+    flags = po.classify_morphism(m)
+    return flags.mono, flags.epi, flags.regular_epi, po.is_z_trivial(m)
+
+
+# command: (entity kind, construction, the name of each value it returns).
+# A name is a flag label or a template over {n}, the entity's name, and for
+# morphisms {dom} and {cod}, its endpoints'; "g : a -> b" names a morphism.
+# Lambdas look the constructions up when they run.
+COMMANDS = {
+    "kernel": ("morphism", lambda m: (*po.kernel(m), m.dom),
+               ("{n}.ker", "{n}.ker.incl : {n}.ker -> {dom}", "{dom}")),
+    "cokernel": ("morphism", lambda m: (m.cod, *po.cokernel(m)),
+                 ("{cod}", "{n}.coker", "{n}.coker.proj : {cod} -> {n}.coker")),
+    "zkernel": ("morphism", lambda m: (*po.z_kernel(m), m.dom),
+                ("{n}.zker", "{n}.zker.incl : {n}.zker -> {dom}", "{dom}")),
+    "zcokernel": ("morphism", lambda m: (m.cod, *po.z_cokernel(m)),
+                  ("{cod}", "{n}.zcok", "{n}.zcok.proj : {cod} -> {n}.zcok")),
+    "classify-mor": ("morphism", _morphism_flags, ("mono", "epi", "regular-epi", "z-trivial")),
+    "canonical-seq": ("object", _sequence,
+                      ("{n}.torsion", "{n}", "{n}.torsionfree",
+                       "{n}.kappa : {n}.torsion -> {n}", "{n}.eta : {n} -> {n}.torsionfree")),
+    "classify": ("object", _object_flags, ("torsion", "torsion-free", "z-trivial")),
+    "functor-d": ("object", lambda x: (po.functor_D(x), x, po.counit_iota(x)),
+                  ("{n}.D", "{n}", "{n}.iota : {n}.D -> {n}")),
+    "functor-c": ("object", lambda x: (x, *po.functor_C(x)),
+                  ("{n}", "{n}.C", "{n}.pi : {n} -> {n}.C")),
+    "stable": ("object", lambda x: (mp.ambient_object(mp.positive_cone(x)),), ("{n}.P",)),
+    "grpcompletion": ("object", lambda x: (mp.completion_object(mp.positive_cone(x)),),
+                      ("{n}.grp",)),
+    "units": ("object", lambda x: (mp.ambient_object(mp.units(mp.positive_cone(x))[0]),),
+              ("{n}.units",)),
+    "reduce": ("object",
+               lambda x: (mp.ambient_object(mp.quotient_by_units(mp.positive_cone(x))[0]),),
+               ("{n}.reduced",)),
+    "compare": ("object", _compare, ("{n}.grp", "{n}", "{n}.compare : {n}.grp -> {n}")),
+}
+
+
+def _construct(args) -> str:
+    """Run a construction command; print flags, or the values as a workspace
+    in which the first value given a name keeps it."""
+    kind, build, names = COMMANDS[args.command]
+    ws = _load(args)
+    entity = _need(ws, kind, args.name)
+    fields = {"n": args.name}
+    if kind == "morphism":
+        fields["dom"], fields["cod"] = ws.endpoints[args.name]
+    labelled = [(name.format(**fields), value) for name, value in zip(names, build(entity))]
+    if isinstance(labelled[0][1], bool):
+        return "".join(f"{label} {'true' if flag else 'false'}\n" for label, flag in labelled)
+    out = ff.Workspace()
+    for label, value in labelled:
+        if isinstance(value, po.PreOrdMor):
+            name, ends = label.split(" : ")
+            out.morphisms[name] = value
+            out.endpoints[name] = tuple(ends.split(" -> "))
+        else:
+            out.objects.setdefault(label, value)
+    return ff.format_workspace(out)
 
 
 def _run_check(args) -> tuple[str, int]:
@@ -176,15 +137,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="preordgrp", description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _MORPHISM_COMMANDS:
+    for command, (kind, _, _) in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("file", help="workspace file")
-        p.add_argument("name", help="morphism name")
-        p.add_argument("--universe-cap", type=int, help="finite order cap override")
-    for command in _OBJECT_COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("file", help="workspace file")
-        p.add_argument("name", help="object name")
+        p.add_argument("name", help=f"{kind} name")
         p.add_argument("--universe-cap", type=int, help="finite order cap override")
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
@@ -212,10 +168,8 @@ def main(argv=None) -> int:
             text, code = _run_check(args)
         elif args.command == "check-one":
             text, code = _run_check_one(args)
-        elif args.command in _MORPHISM_COMMANDS:
-            text, code = _run_on_morphism(args.command, _load(args), args.name), 0
         else:
-            text, code = _run_on_object(args.command, _load(args), args.name), 0
+            text, code = _construct(args), 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

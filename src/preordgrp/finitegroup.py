@@ -60,6 +60,16 @@ class FiniteGroup:
                 reached = _closure_set(self.table, self.order, gens)
         return tuple(gens)
 
+    @cached_property
+    def element_orders(self) -> tuple:
+        orders = []
+        for a in range(self.order):
+            x, n = a, 1
+            while x != 0:
+                x, n = self.mul(x, a), n + 1
+            orders.append(n)
+        return tuple(orders)
+
     def inv(self, a: int) -> int:
         return self.inverses[a]
 

@@ -222,17 +222,12 @@ def factor_through_units(h: MonMorphism, u: ConeMonoid) -> MonMorphism | None:
     Exists exactly when every generator image of h is a unit, which makes
     the inclusion the kernel of the reduced quotient.
     """
-    if h.dom.universe == FINITE:
-        return MonMorphism(h.dom, u, h.ext)
+    be = h.dom.backend
     _, embed = group_completion(h.cod)
-    rows = []
-    for i in range(h.ext.matrix.rows):
-        cert = po.cone_certificate(ambient_object(u), ab.apply(embed, h.ext.matrix.row(i)))
-        if cert is None:
-            return None
-        rows.append(list(cert))
+    _, incl = group_completion(u)
+    lift = be.factor_mono(be.compose(h.ext, embed), incl)
     try:
-        return make_mon_morphism(h.dom, u, rows)
+        return None if lift is None else make_mon_morphism(h.dom, u, lift)
     except ValidationError:
         return None
 
@@ -243,14 +238,9 @@ def factor_through_reduction(h: MonMorphism, eta: MonMorphism) -> MonMorphism | 
     Exists exactly when h kills the units, which makes the quotient the
     cokernel of the unit inclusion.
     """
-    if h.dom.universe == FINITE:
-        if not mon_is_zero(h):
-            return None
-        gq, _ = group_completion(eta.cod)
-        gc, _ = group_completion(h.cod)
-        return MonMorphism(eta.cod, h.cod, fg.fin_zero_morphism(gq, gc))
+    psi = h.dom.backend.factor_epi(h.ext, eta.ext)
     try:
-        return make_mon_morphism(eta.cod, h.cod, h.ext.matrix.to_rows())
+        return None if psi is None else make_mon_morphism(eta.cod, h.cod, psi)
     except ValidationError:
         return None
 

@@ -15,7 +15,12 @@ on underlying maps (identity, zero, compose, equality, apply, zero test,
 injective, surjective), the cone elements (generator rows, or the sorted
 nonzero elements of a finite cone), the quotient of a group by a normal
 set of elements, factoring a map through an injection or a surjection,
-and a budgeted cone check.  The constructions are written once on top of
+and a budgeted cone check.  For the checking harness it also supplies a
+random candidate map (draw_map), the data that keys an object or a map
+(key_data, map_data), the one-generator probe hitting an element
+(cyclic_probe), the order in which mutants drop cone elements
+(puncture_order), and the cone-containing subgroups to test
+(subgroup_candidates).  The constructions are written once on top of
 these, and branch on the universe only where the two compute different
 things: the pullback's presentation and the abelian-only pushout.
 
@@ -53,6 +58,8 @@ from .intmat import (
     HILBERT_STATE_CAP,
     IntMatrix,
     Vec,
+    hnf_reduced,
+    in_rowspan_reduced,
     monoid_zero_solutions,
     nonneg_search,
     row_times_matrix,
@@ -68,6 +75,47 @@ UNDECIDED = object()
 def _hcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     rows = [a.row(i) + b.row(i) for i in range(a.rows)]
     return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
+
+
+def _first_of_each(options, key):
+    """The (name, value) options whose value has a key no earlier one had."""
+    seen, out = set(), []
+    for name, value in options:
+        k = key(value)
+        if k not in seen:
+            seen.add(k)
+            out.append((name, value))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _cone_span(gens: IntMatrix, relations: IntMatrix) -> IntMatrix:
+    return hnf_reduced(gens.stack(relations))
+
+
+@lru_cache(maxsize=None)
+def _generator_words(g: fg.FiniteGroup) -> tuple:
+    """Per element, a word over g.generators, as generator indices."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for i, a in enumerate(g.generators):
+            y = g.mul(x, a)
+            if y not in words:
+                words[y] = words[x] + (i,)
+                frontier.append(y)
+    return tuple(words[x] for x in range(g.order))
+
+
+@lru_cache(maxsize=None)
+def _compatible_images(dom: fg.FiniteGroup, cod: fg.FiniteGroup) -> tuple:
+    """Per generator of dom, the elements of cod whose order divides its order."""
+    orders = cod.element_orders
+    return tuple(
+        tuple(b for b in range(cod.order) if dom.element_orders[a] % orders[b] == 0)
+        for a in dom.generators
+    )
 
 
 class _Backend:
@@ -242,6 +290,48 @@ class _AbelianBackend(_Backend):
         """The monoid on its completion's coordinates: the basis."""
         return IntMatrix.identity(group.rank)
 
+    def draw_map(self, rng, dom, cod):
+        """A random homomorphism of the groups, or None when the rows drawn
+        are not one or some cone image lies outside the span of cod's cone."""
+        rows = [[rng.randint(-3, 3) for _ in range(cod.group.rank)] for _ in range(dom.group.rank)]
+        try:
+            f = ab.make_morphism(dom.group, cod.group, rows)
+        except ValidationError:
+            return None
+        span = _cone_span(cod.cone, cod.group.relations)
+        if all(in_rowspan_reduced(span, ab.apply(f, x)) for x in self.cone_elements(dom.cone)):
+            return f
+        return None
+
+    def key_data(self, obj):
+        return ("a", obj.group.rank, obj.group.relations.entries, obj.cone.entries)
+
+    def map_data(self, f):
+        return f.matrix.entries
+
+    def cyclic_probe(self, group, x):
+        """Z with its natural cone, and the map data sending 1 to x."""
+        return make_object(ab.make_group(1, []), [[1]]), [list(x)]
+
+    def puncture_order(self, n):
+        """Cone generator indices as mutants try dropping them: last first."""
+        return reversed(range(n))
+
+    def subgroup_candidates(self, obj):
+        """Cone-containing subgroups, each once, with stable names: the span
+        of the cone, the whole group, and the span plus the first axis."""
+        rows = list(obj.cone.to_rows())
+        basis = self.generators(obj.group)
+        options = [("span", rows), ("full", basis)]
+        if basis:
+            options.append(("span-plus-axis", rows + basis[:1]))
+        relations = obj.group.relations
+
+        def span(gens):
+            return hnf_reduced(IntMatrix.from_rows(gens, cols=relations.cols).stack(relations))
+
+        return _first_of_each(options, span)
+
 
 class _FiniteBackend(_Backend):
     name = FINITE
@@ -381,6 +471,53 @@ class _FiniteBackend(_Backend):
 
     def completion_cone(self, group):
         return frozenset(range(group.order))
+
+    def draw_map(self, rng, dom, cod):
+        """A random homomorphism of the groups sending each generator to an
+        element of dividing order, or None when that assignment is not one."""
+        images = [rng.choice(pool) for pool in _compatible_images(dom.group, cod.group)]
+        mapping = []
+        for word in _generator_words(dom.group):
+            y = 0
+            for i in word:
+                y = cod.group.mul(y, images[i])
+            mapping.append(y)
+        try:
+            return fg.make_fin_morphism(dom.group, cod.group, mapping)
+        except ValidationError:
+            return None
+
+    def key_data(self, obj):
+        return ("f", obj.group.order, obj.group.table, tuple(sorted(obj.cone)))
+
+    def map_data(self, f):
+        return f.mapping
+
+    def cyclic_probe(self, group, x):
+        """The cyclic group x generates, all of it the cone, and the map
+        data sending its generator 1 to x."""
+        order = group.element_orders[x]
+        powers = [0]
+        for _ in range(order - 1):
+            powers.append(group.mul(powers[-1], x))
+        return make_object(fg.cyclic_group(order), range(order)), tuple(powers)
+
+    def puncture_order(self, n):
+        """Smallest element first: the rest of the set never contains it."""
+        return range(n)
+
+    def subgroup_candidates(self, obj):
+        """Cone-containing subgroups, each once, with stable names: the cone,
+        the whole group, and the normal closure of the cone and the least
+        element outside it."""
+        g = obj.group
+        cone = fg.submonoid_closure(g, obj.cone)
+        options = [("span", cone), ("full", frozenset(range(g.order)))]
+        outside = sorted(set(range(g.order)) - cone)
+        if outside:
+            options.append(("span-plus-element", fg.normal_closure(g, cone | {outside[0]})))
+        closed = [(name, fg.submonoid_closure(g, elems)) for name, elems in options]
+        return _first_of_each(closed, lambda elems: elems)
 
 
 _ABELIAN_BACKEND = _AbelianBackend()

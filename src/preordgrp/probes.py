@@ -5,7 +5,9 @@ distinguish: discrete preorders, total preorders, cones with and without
 units, torsion and torsion-free parts, and a non-abelian cone.  The
 samplers draw random objects and morphisms from a deterministic stream;
 a sampler never fails, it falls back to the zero morphism when rejection
-sampling finds nothing better, so sample counts stay exact.
+sampling finds nothing better, so sample counts stay exact.  Each universe
+has one catalogue (its probes and its object sampler); the morphism
+sampler is one loop over the preord backend's candidate maps.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,6 @@ from . import finitegroup as fg
 from . import monpos as mp
 from . import preord as po
 from .errors import ValidationError
-from .intmat import IntMatrix, hnf_reduced, in_rowspan_reduced
 from .rng import DetRng
 
 
@@ -39,7 +40,7 @@ def _symmetric3() -> fg.FiniteGroup:
 @lru_cache(maxsize=1)
 def _alternating3() -> frozenset:
     g = _symmetric3()
-    rotations = [a for a in range(g.order) if _element_order(g, a) != 2]
+    rotations = [a for a in range(g.order) if g.element_orders[a] != 2]
     return fg.submonoid_closure(g, rotations)
 
 
@@ -87,11 +88,8 @@ def finite_probes() -> tuple[Probe, ...]:
 
 
 def probes_for(universe: str) -> tuple[Probe, ...]:
-    if universe == po.ABELIAN:
-        return abelian_probes()
-    if universe == po.FINITE:
-        return finite_probes()
-    raise ValidationError(f"unknown universe {universe!r}")
+    probes, _ = _catalogue(universe)
+    return probes()
 
 
 def monoid_probes(universe: str) -> tuple[tuple[str, mp.ConeMonoid], ...]:
@@ -135,43 +133,6 @@ def finite_catalog() -> tuple[tuple[str, fg.FiniteGroup], ...]:
     return tuple(entries)
 
 
-@lru_cache(maxsize=None)
-def _element_order(g: fg.FiniteGroup, a: int) -> int:
-    x = a
-    n = 1
-    while x != 0:
-        x = g.mul(x, a)
-        n += 1
-    return n
-
-
-@lru_cache(maxsize=None)
-def _generator_words(g: fg.FiniteGroup):
-    """The group's greedy generating set and, per element, a word over it."""
-    gens = g.generators
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for i, a in enumerate(gens):
-            y = g.mul(x, a)
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
-    return gens, tuple(words[x] for x in range(g.order))
-
-
-@lru_cache(maxsize=None)
-def _compatible_images(dom: fg.FiniteGroup, cod: fg.FiniteGroup):
-    """Per domain generator, the codomain elements of dividing order."""
-    gens, _ = _generator_words(dom)
-    out = []
-    for a in gens:
-        oa = _element_order(dom, a)
-        out.append(tuple(b for b in range(cod.order) if oa % _element_order(cod, b) == 0))
-    return tuple(out)
-
-
 MORPHISM_TRIES = 24
 
 
@@ -196,24 +157,21 @@ def random_finite_object(rng: DetRng) -> po.PreOrdObj:
     return po.make_object(group, fg.normal_closure(group, seeds))
 
 
+def _catalogue(universe: str):
+    """(probe list, object sampler) of a universe."""
+    # built per call, so the functions are looked up when they are called
+    catalogues = {
+        po.ABELIAN: (abelian_probes, random_abelian_object),
+        po.FINITE: (finite_probes, random_finite_object),
+    }
+    if universe not in catalogues:
+        raise ValidationError(f"unknown universe {universe!r}")
+    return catalogues[universe]
+
+
 def random_object(rng: DetRng, universe: str) -> po.PreOrdObj:
-    if universe == po.ABELIAN:
-        return random_abelian_object(rng)
-    return random_finite_object(rng)
-
-
-@lru_cache(maxsize=4096)
-def _cone_span(gens: IntMatrix, relations: IntMatrix) -> IntMatrix:
-    return hnf_reduced(gens.stack(relations))
-
-
-def _cone_images_plausible(f: ab.AbMorphism, dom: po.PreOrdObj, cod: po.PreOrdObj) -> bool:
-    """Necessary test: cone images must at least lie in the cone's span."""
-    span = _cone_span(cod.cone, cod.group.relations)
-    for i in range(dom.cone.rows):
-        if not in_rowspan_reduced(span, ab.apply(f, dom.cone.row(i))):
-            return False
-    return True
+    _, sample = _catalogue(universe)
+    return sample(rng)
 
 
 # Membership budget per candidate: a candidate whose cone images are
@@ -222,42 +180,14 @@ def _cone_images_plausible(f: ab.AbMorphism, dom: po.PreOrdObj, cod: po.PreOrdOb
 SAMPLER_STATE_CAP = 1_500
 
 
-def _random_abelian_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int):
+def _first_valid(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int) -> po.PreOrdMor:
+    """The first candidate map that provably carries dom's cone into cod's,
+    or the zero morphism when `tries` candidates fail."""
+    be = dom.backend
     for _ in range(tries):
-        rows = [
-            [rng.randint(-3, 3) for _ in range(cod.group.rank)]
-            for _ in range(dom.group.rank)
-        ]
-        try:
-            f = ab.make_morphism(dom.group, cod.group, rows)
-        except ValidationError:
-            continue
-        if not _cone_images_plausible(f, dom, cod):
-            continue
-        mor = dom.backend.cone_check(dom, cod, f, SAMPLER_STATE_CAP)
-        if mor is None or mor is po.UNDECIDED:
-            continue
-        return mor
-    return po.zero_preord(dom, cod)
-
-
-def _random_finite_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int):
-    gens, words = _generator_words(dom.group)
-    pools = _compatible_images(dom.group, cod.group)
-    for _ in range(tries):
-        images = [rng.choice(pool) for pool in pools]
-        mapping = []
-        for word in words:
-            y = 0
-            for i in word:
-                y = cod.group.mul(y, images[i])
-            mapping.append(y)
-        try:
-            f = fg.make_fin_morphism(dom.group, cod.group, mapping)
-        except ValidationError:
-            continue
-        mor = dom.backend.cone_check(dom, cod, f)
-        if mor is not None:
+        f = be.draw_map(rng, dom, cod)
+        mor = None if f is None else be.cone_check(dom, cod, f, SAMPLER_STATE_CAP)
+        if mor is not None and mor is not po.UNDECIDED:
             return mor
     return po.zero_preord(dom, cod)
 
@@ -268,9 +198,7 @@ def random_morphism(
     """A valid morphism dom -> cod; the zero morphism when tries run out."""
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
-    if dom.universe == po.ABELIAN:
-        return _random_abelian_morphism(rng, dom, cod, tries)
-    return _random_finite_morphism(rng, dom, cod, tries)
+    return _first_valid(rng, dom, cod, tries)
 
 
 def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
@@ -287,8 +215,8 @@ def random_mon_morphism(
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     if dom.universe == po.FINITE:
-        dom_obj, cod_obj = mp.completion_object(dom), mp.completion_object(cod)
-        f = _random_finite_morphism(rng, dom_obj, cod_obj, tries)
+        # a finite completion is the whole monoid: any map of them will do
+        f = _first_valid(rng, mp.completion_object(dom), mp.completion_object(cod), tries)
         return mp.make_mon_morphism(dom, cod, f.map)
     ngen = dom.gens.rows
     mgen = cod.gens.rows

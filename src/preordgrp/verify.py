@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import fgabelian as ab
-from . import finitegroup as fg
 from . import monpos as mp
 from . import preord as po
 from . import probes as pr
@@ -81,21 +80,16 @@ def _bump(stats: dict, label: str, n: int = 1) -> None:
     stats[label] = stats.get(label, 0) + n
 
 
+def _digest(data) -> str:
+    return hashlib.blake2b(repr(data).encode(), digest_size=5).hexdigest()
+
+
 def _obj_key(obj: po.PreOrdObj) -> str:
-    if obj.universe == po.ABELIAN:
-        blob = repr(("a", obj.group.rank, obj.group.relations.entries, obj.cone.entries))
-    else:
-        blob = repr(("f", obj.group.order, obj.group.table, tuple(sorted(obj.cone))))
-    return hashlib.blake2b(blob.encode(), digest_size=5).hexdigest()
+    return _digest(obj.backend.key_data(obj))
 
 
 def _mor_key(m: po.PreOrdMor) -> str:
-    if m.dom.universe == po.ABELIAN:
-        body = m.map.matrix.entries
-    else:
-        body = m.map.mapping
-    blob = repr((_obj_key(m.dom), _obj_key(m.cod), body))
-    return hashlib.blake2b(blob.encode(), digest_size=5).hexdigest()
+    return _digest((_obj_key(m.dom), _obj_key(m.cod), m.dom.backend.map_data(m.map)))
 
 
 # --- the probe suite -------------------------------------------------------
@@ -111,17 +105,17 @@ class ProbeSuite:
 
     seed: int
     samples_per_pair: int
-    objects: tuple  # Probe entries, both universes
+    objects: dict  # universe -> its Probe entries
     morphism_samples: tuple  # (dom_name, cod_name, (morphisms...))
 
 
 def make_suite(seed: int = 0, samples_per_pair: int = 50) -> ProbeSuite:
     root = DetRng.from_seed(seed).child("suite")
-    objects = pr.abelian_probes() + pr.finite_probes()
+    objects = {universe: pr.probes_for(universe) for universe in (po.ABELIAN, po.FINITE)}
     samples = []
-    for universe in (po.ABELIAN, po.FINITE):
-        for pa in pr.probes_for(universe):
-            for pb in pr.probes_for(universe):
+    for probes in objects.values():
+        for pa in probes:
+            for pb in probes:
                 stream = root.child(f"{pa.name}->{pb.name}")
                 mors = tuple(
                     pr.random_morphism(stream.child(j), pa.obj, pb.obj)
@@ -141,7 +135,7 @@ _cached_suite = lru_cache(maxsize=8)(make_suite)
 
 
 def suite_probes(suite: ProbeSuite, universe: str) -> tuple:
-    return tuple(p for p in suite.objects if p.obj.universe == universe)
+    return suite.objects[universe]
 
 
 def _suite_pair_samples(suite: ProbeSuite, dom_name: str, cod_name: str) -> tuple:
@@ -182,18 +176,9 @@ def _factor_through_epi(s: po.PreOrdMor, qobj: po.PreOrdObj, q: po.PreOrdMor):
 
 
 def _element_probe(obj: po.PreOrdObj, element) -> po.PreOrdMor:
-    """A morphism from a one-generator probe hitting a cone element: Z with
-    its natural cone, or the cyclic group the element generates."""
-    if obj.universe == po.ABELIAN:
-        znat = po.make_object(ab.make_group(1, []), [[1]])
-        return po.make_morphism(znat, obj, [list(element)])
-    order = pr._element_order(obj.group, element)
-    cn = fg.cyclic_group(order)
-    source = po.make_object(cn, range(order))
-    mapping = [0] * order
-    for j in range(1, order):
-        mapping[j] = obj.group.mul(mapping[j - 1], element)
-    return po.make_morphism(source, obj, tuple(mapping))
+    """A morphism from a one-generator probe hitting a cone element."""
+    source, mapping = obj.backend.cyclic_probe(obj.group, element)
+    return po.make_morphism(source, obj, mapping)
 
 
 def _killed_cone_elements(m: po.PreOrdMor):
@@ -206,14 +191,10 @@ def _killed_cone_elements(m: po.PreOrdMor):
 
 def _punctured(obj: po.PreOrdObj):
     """obj without one cone generator that the others do not give back, or
-    None.  Abelian generators are tried last first; a finite cone loses its
-    smallest nonzero element, which the rest of the set never contains."""
+    None; generators are tried in the backend's puncture order."""
     be = obj.backend
     elements = be.cone_elements(obj.cone)
-    order = range(len(elements))
-    if obj.universe == po.ABELIAN:
-        order = reversed(order)
-    for i in order:
+    for i in be.puncture_order(len(elements)):
         smaller = po.PreOrdObj(obj.group, be.cone_without(obj.cone, i))
         if be.contains(smaller, elements[i], _MUTANT_STATE_CAP) is None:
             return smaller
@@ -334,9 +315,7 @@ def z_cokernel_mutants(m: po.PreOrdMor):
     """Corrupted cokernel candidates that a sound verifier must reject."""
     qobj, q = po.z_cokernel(m)
     be = m.cod.backend
-    images = [be.apply(m.map, x) for x in be.cone_elements(m.dom.cone)]
-    if m.dom.universe == po.FINITE:
-        images = sorted(set(images) - {0})
+    images = be.cone_elements(be.push_cone(m.dom.cone, m.map))
     out = []
     for i, dropped in enumerate(images):
         kept = images[:i] + images[i + 1 :]
@@ -365,7 +344,8 @@ def _same_cone(a: po.PreOrdObj, b: po.PreOrdObj) -> bool:
     )
 
 
-def _pretorsion_witnesses(suite: ProbeSuite, mislabel=None):
+def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
+    """Torsion/torsion-free split: classification, exactness, vanishing."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -415,12 +395,6 @@ def _pretorsion_witnesses(suite: ProbeSuite, mislabel=None):
                         witnesses.append(
                             f"{pa.name}->{pb.name}#{j}: torsion to torsion-free morphism does not vanish"
                         )
-    return witnesses, stats
-
-
-def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
-    """Torsion/torsion-free split: classification, exactness, vanishing."""
-    witnesses, stats = _pretorsion_witnesses(suite, mislabel)
     return _certificate("pretorsion", stats, witnesses)
 
 
@@ -447,7 +421,19 @@ def _factors_through_discrete_image(m: po.PreOrdMor) -> bool:
 # --- adjoint triple --------------------------------------------------------
 
 
-def _adjunction_witnesses(suite: ProbeSuite, corrupt=None):
+def _corrupt_collapse(X: po.PreOrdObj):
+    """A collapse candidate built after forgetting one cone generator."""
+    be = X.backend
+    elements = be.cone_elements(X.cone)
+    if not elements:
+        return po.functor_C(X)
+    group, projm = be.quotient(X.group, be.normal_closure(X.group, elements[:-1]))
+    cobj = po.discrete_object(group)
+    return cobj, po.PreOrdMor(X, cobj, projm)
+
+
+def verify_adjunctions(suite: ProbeSuite, corrupt=None) -> Certificate:
+    """Discrete inclusion has a right adjoint (D) and a left adjoint (C)."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -519,23 +505,6 @@ def _adjunction_witnesses(suite: ProbeSuite, corrupt=None):
                         po.compose_preord(pis, po.functor_C_mor(f)),
                     ):
                         witnesses.append(f"{source.name}->{probe.name}: unit is not natural")
-    return witnesses, stats
-
-
-def _corrupt_collapse(X: po.PreOrdObj):
-    """A collapse candidate built after forgetting one cone generator."""
-    be = X.backend
-    elements = be.cone_elements(X.cone)
-    if not elements:
-        return po.functor_C(X)
-    group, projm = be.quotient(X.group, be.normal_closure(X.group, elements[:-1]))
-    cobj = po.discrete_object(group)
-    return cobj, po.PreOrdMor(X, cobj, projm)
-
-
-def verify_adjunctions(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """Discrete inclusion has a right adjoint (D) and a left adjoint (C)."""
-    witnesses, stats = _adjunction_witnesses(suite, corrupt)
     return _certificate("adjunction", stats, witnesses)
 
 
@@ -603,18 +572,26 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
     return witnesses, stats
 
 
-def pullback_mutant(m: po.PreOrdMor):
-    """A pullback square with one corner cone generator removed."""
-    square = po.pullback_with_counit(m)
+def _punctured_square(square, legs, legs_leave_corner: bool):
+    """The square with one corner cone generator removed, or None.  Its two
+    legs leave the corner or enter it; the comparison enters it."""
     smaller = _punctured(square.obj)
     if smaller is None:
         return None
-    return po.PullbackSquare(
-        smaller,
-        po.PreOrdMor(smaller, square.to_dom.cod, square.to_dom.map),
-        po.PreOrdMor(smaller, square.to_discrete.cod, square.to_discrete.map),
-        po.PreOrdMor(square.comparison.dom, smaller, square.comparison.map),
-    )
+
+    def rerouted(f, leaves):
+        if leaves:
+            return po.PreOrdMor(smaller, f.cod, f.map)
+        return po.PreOrdMor(f.dom, smaller, f.map)
+
+    legs = (rerouted(f, legs_leave_corner) for f in legs)
+    return type(square)(smaller, *legs, rerouted(square.comparison, False))
+
+
+def pullback_mutant(m: po.PreOrdMor):
+    """A pullback square with one corner cone generator removed."""
+    square = po.pullback_with_counit(m)
+    return _punctured_square(square, (square.to_dom, square.to_discrete), True)
 
 
 def _pushout_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
@@ -680,21 +657,14 @@ def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
 def pushout_mutant(m: po.PreOrdMor):
     """A pushout square with one corner cone generator removed."""
     square = po.pushout_with_unit(m)
-    smaller = _punctured(square.obj)
-    if smaller is None:
-        return None
-    return po.PushoutSquare(
-        smaller,
-        po.PreOrdMor(square.from_cod.dom, smaller, square.from_cod.map),
-        po.PreOrdMor(square.from_stable.dom, smaller, square.from_stable.map),
-        po.PreOrdMor(square.comparison.dom, smaller, square.comparison.map),
-    )
+    return _punctured_square(square, (square.from_cod, square.from_stable), False)
 
 
 # --- torsion theory in the stable category ---------------------------------
 
 
-def _mon_torsion_witnesses(suite: ProbeSuite, corrupt=None):
+def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
+    """Units/reduced split is a torsion theory in the stable category."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -747,56 +717,14 @@ def _mon_torsion_witnesses(suite: ProbeSuite, corrupt=None):
                 _bump(stats, "group-to-reduced")
                 if not mp.mon_is_zero(h):
                     witnesses.append(f"{gname}->{rname}: group to reduced morphism is not zero")
-    return witnesses, stats
-
-
-def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """Units/reduced split is a torsion theory in the stable category."""
-    witnesses, stats = _mon_torsion_witnesses(suite, corrupt)
     return _certificate("mon-torsion", stats, witnesses)
 
 
 # --- the cone functor is a torsion theory functor --------------------------
 
 
-def _subgroup_candidates(obj: po.PreOrdObj):
-    """Cone-containing subgroups paired with stable display names."""
-    if obj.universe == po.ABELIAN:
-        rank = obj.group.rank
-        cone_rows = list(obj.cone.to_rows())
-        full = [list(r) for r in IntMatrix.identity(rank).to_rows()]
-        out = [("span", cone_rows), ("full", full)]
-        if rank:
-            first = [1 if j == 0 else 0 for j in range(rank)]
-            out.append(("span-plus-axis", cone_rows + [first]))
-        seen = set()
-        unique = []
-        for name, rows in out:
-            key = hnf_reduced(
-                IntMatrix.from_rows(rows, cols=rank).stack(obj.group.relations)
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append((name, rows))
-        return unique
-    cone = fg.submonoid_closure(obj.group, obj.cone)
-    options = [("span", cone), ("full", frozenset(range(obj.group.order)))]
-    outside = sorted(set(range(obj.group.order)) - cone)
-    if outside:
-        options.append(("span-plus-element", fg.normal_closure(obj.group, cone | {outside[0]})))
-    seen = set()
-    unique = []
-    for name, elems in options:
-        closed = fg.submonoid_closure(obj.group, elems)
-        if closed in seen:
-            continue
-        seen.add(closed)
-        unique.append((name, closed))
-    return unique
-
-
-def _p_functor_witnesses(suite: ProbeSuite, corrupt=None):
+def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certificate:
+    """The cone functor respects the torsion split and special sequences."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -848,7 +776,7 @@ def _p_functor_witnesses(suite: ProbeSuite, corrupt=None):
                 rhs = mp.mon_compose(mp.positive_cone_mor(f), mp.positive_cone_mor(g))
                 if not mp.mon_eq(lhs, rhs):
                     witnesses.append(f"{probe.name}->{other.name}: cone functor breaks composition")
-            for hname, subgroup in _subgroup_candidates(X):
+            for hname, subgroup in X.backend.subgroup_candidates(X):
                 ses2 = mp.special_ses(X, subgroup)
                 _bump(stats, "subgroup-sequences")
                 if not mp.mon_is_isomorphism(mp.positive_cone_mor(ses2.incl)):
@@ -857,19 +785,14 @@ def _p_functor_witnesses(suite: ProbeSuite, corrupt=None):
                     witnesses.append(f"{probe.name}/{hname}: cone of the projection is not zero")
                 if not mp.is_trivial_monoid(mp.positive_cone(ses2.quot)):
                     witnesses.append(f"{probe.name}/{hname}: quotient cone is not trivial")
-    return witnesses, stats
-
-
-def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """The cone functor respects the torsion split and special sequences."""
-    witnesses, stats = _p_functor_witnesses(suite, corrupt)
     return _certificate("p-functor", stats, witnesses)
 
 
 # --- completion comparison --------------------------------------------------
 
 
-def _completion_witnesses(suite: ProbeSuite, corrupt=None):
+def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
+    """Completion embeds, quotient is exact, and the cone round-trips."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -893,12 +816,6 @@ def _completion_witnesses(suite: ProbeSuite, corrupt=None):
             fhat = mp.fhat_consistency(m)
             if not mp.mon_is_isomorphism(fhat):
                 witnesses.append(f"{name}: completed cone does not recover the monoid")
-    return witnesses, stats
-
-
-def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """Completion embeds, quotient is exact, and the cone round-trips."""
-    witnesses, stats = _completion_witnesses(suite, corrupt)
     return _certificate("completion", stats, witnesses)
 
 

@@ -1,7 +1,10 @@
 """Probe library contents and sampler guarantees."""
 
+import pytest
+
 from preordgrp import preord as po
 from preordgrp import probes as pr
+from preordgrp.errors import ValidationError
 from preordgrp.rng import DetRng
 
 
@@ -76,3 +79,12 @@ class TestSamplers:
             m = pr.random_morphism_sample(DetRng.from_seed(11).child("s"), universe)
             assert m.dom.universe == universe
             assert m.cod.universe == universe
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [pr.probes_for, pr.monoid_probes, lambda u: pr.random_object(DetRng.from_seed(0), u),
+         lambda u: pr.random_morphism_sample(DetRng.from_seed(0), u)],
+    )
+    def test_unknown_universe_is_rejected(self, sampler):
+        with pytest.raises(ValidationError, match="unknown universe 'bogus'"):
+            sampler("bogus")
