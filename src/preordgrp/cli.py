@@ -13,7 +13,7 @@ values that construction returns.  Flag values print as `label true` or
 `label false` lines, objects and morphisms as one workspace.  The parser
 takes its construction commands from the table.
 
-Exit codes: 0 success or all checks passed, 1 usage or parse error,
+Exit codes: 0 success or all checks passed, 1 usage, parse or write error,
 2 validation error, 3 verification failure.
 """
 
@@ -158,6 +158,8 @@ def _load(args) -> ff.Workspace:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.file}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {args.file}: byte {exc.start} is not UTF-8")
     return ff.parse_workspace(text, universe_cap=args.universe_cap)
 
 
@@ -180,8 +182,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -3,20 +3,18 @@
 A cone monoid is the positive cone of a preordered group kept together
 with its ambient group: abelian monoids are generator rows over a
 presented group, finite ones are closed subsets of a Cayley-table group.
-The group completion is presented on generator coordinates (one basis
-element per monoid generator, relations the vanishing lattice), so a
-monoid morphism is stored as the induced homomorphism between the
-completions and validates by a single relation check plus membership
-certificates for the generator images.
+Its group completion is presented on generator coordinates (one basis
+element per monoid generator, relations the vanishing lattice), and the
+completion object is that group preordered by the monoid.  A monoid
+morphism M -> N is a preord morphism between the completion objects of
+M and N; such a cone generates its group, so z-trivial means zero.
 
 The torsion theory of this category is computed exactly: the unit group
-of a monoid, the reduced quotient by it, the short exact sequence they
-form, and the factorization helpers that make its kernel / cokernel
-universal properties checkable.  The cone functor P sends objects to
-their cones and morphisms to their certificate matrices; the comparison
-morphism embeds the completion back into the ambient group, and the
-consistency map identifies P of that completion object with the monoid
-it came from.
+of a monoid, the reduced quotient by it, and the short exact sequence
+they form.  The cone functor P sends objects to their cones and
+morphisms to their certificate matrices; the comparison morphism embeds
+the completion back into the ambient group, and the consistency map
+identifies P of that completion object with the monoid it came from.
 
 Everything is written once on top of the preord backend of the ambient
 group.  The universes part only where they compute different things:
@@ -32,9 +30,6 @@ from . import fgabelian as ab
 from . import finitegroup as fg
 from . import preord as po
 from .errors import ValidationError
-
-ABELIAN = po.ABELIAN
-FINITE = po.FINITE
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ def ore_condition_failure(m: ConeMonoid):
     Abelian monoids always satisfy the condition with x = b, y = a.  Finite
     cones are subgroups, so the exhaustive scan is a consistency check.
     """
-    if m.universe == ABELIAN:
+    if m.universe == po.ABELIAN:
         return None
     for a in m.gens:
         for b in m.gens:
@@ -96,76 +91,16 @@ def ore_condition_failure(m: ConeMonoid):
     return None
 
 
-@dataclass(frozen=True)
-class MonMorphism:
-    dom: ConeMonoid
-    cod: ConeMonoid
-    ext: object  # AbMorphism | FinMorphism between the completions
-
-    def __repr__(self):
-        return f"MonMorphism({self.dom!r} -> {self.cod!r})"
-
-
-def make_mon_morphism(dom: ConeMonoid, cod: ConeMonoid, rows) -> MonMorphism:
+def make_mon_morphism(dom: ConeMonoid, cod: ConeMonoid, rows) -> po.PreOrdMor:
     """Build from generator images given in codomain generator coordinates.
 
-    The relation check on the completions makes the assignment
-    well-defined; each abelian image row must describe a monoid element,
-    which is immediate when the row is nonnegative and otherwise decided
-    exactly.  A finite completion is the whole monoid.
+    A nonnegative abelian row is its own certificate over the completion's
+    basis cone; the membership search decides any other row.
     """
-    if dom.universe != cod.universe:
-        raise ValidationError("morphisms do not cross universes")
-    gd, _ = group_completion(dom)
-    gc, _ = group_completion(cod)
-    ext = dom.backend.make_map(gd, gc, rows)
-    if dom.universe == ABELIAN:
-        target = completion_object(cod)
-        for i in range(gd.rank):
-            row = ext.matrix.row(i)
-            if all(v >= 0 for v in row):
-                continue  # the row is its own membership certificate
-            if po.cone_certificate(target, row) is None:
-                raise ValidationError(
-                    f"generator {i} maps to {row}, outside the monoid", witness=(i, row)
-                )
-    return MonMorphism(dom, cod, ext)
-
-
-def mon_identity(m: ConeMonoid) -> MonMorphism:
-    group, _ = group_completion(m)
-    return MonMorphism(m, m, m.backend.identity(group))
-
-
-def mon_zero(dom: ConeMonoid, cod: ConeMonoid) -> MonMorphism:
-    gd, _ = group_completion(dom)
-    gc, _ = group_completion(cod)
-    return MonMorphism(dom, cod, dom.backend.zero(gd, gc))
-
-
-def mon_compose(f: MonMorphism, g: MonMorphism) -> MonMorphism:
-    if f.cod != g.dom:
-        raise ValidationError("middle monoids differ in composition")
-    return MonMorphism(f.dom, g.cod, f.dom.backend.compose(f.ext, g.ext))
-
-
-def mon_eq(f: MonMorphism, g: MonMorphism) -> bool:
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    return f.dom.backend.map_eq(f.ext, g.ext)
-
-
-def mon_is_zero(h: MonMorphism) -> bool:
-    be = h.dom.backend
-    gc, _ = group_completion(h.cod)
-    return all(be.is_zero(gc, be.apply(h.ext, x)) for x in be.generators(h.ext.dom))
-
-
-def mon_is_isomorphism(h: MonMorphism) -> bool:
-    """Whether h is an isomorphism between the completion objects."""
-    return po.is_isomorphism(
-        po.make_morphism(completion_object(h.dom), completion_object(h.cod), h.ext)
-    )
+    certs = dom.backend.certs(rows)
+    if certs is not None and any(v < 0 for row in certs for v in row):
+        certs = None
+    return po.make_morphism(completion_object(dom), completion_object(cod), rows, certs)
 
 
 def is_group_monoid(m: ConeMonoid) -> bool:
@@ -191,11 +126,10 @@ def units(m: ConeMonoid):
 
 def quotient_by_units(m: ConeMonoid):
     """The reduced quotient; returns (M/U, projection)."""
-    if m.universe == FINITE:
+    if m.universe == po.FINITE:
         # every element is a unit, so the quotient is trivial
         reduced = ConeMonoid(fg.trivial_group(), frozenset({0}))
-        group, _ = group_completion(m)
-        return reduced, MonMorphism(m, reduced, fg.fin_zero_morphism(group, fg.trivial_group()))
+        return reduced, po.zero_preord(completion_object(m), completion_object(reduced))
     seq = po.canonical_sequence(ambient_object(m))
     return positive_cone(seq.torsion_free), positive_cone_mor(seq.eta)
 
@@ -203,10 +137,10 @@ def quotient_by_units(m: ConeMonoid):
 @dataclass(frozen=True)
 class MonSes:
     units: ConeMonoid
-    kappa: MonMorphism
+    kappa: po.PreOrdMor
     monoid: ConeMonoid
     reduced: ConeMonoid
-    eta: MonMorphism
+    eta: po.PreOrdMor
 
 
 def torsion_ses(m: ConeMonoid) -> MonSes:
@@ -216,45 +150,16 @@ def torsion_ses(m: ConeMonoid) -> MonSes:
     return MonSes(u, kappa, m, reduced, eta)
 
 
-def factor_through_units(h: MonMorphism, u: ConeMonoid) -> MonMorphism | None:
-    """Factor h: T -> M through the unit inclusion U -> M, if possible.
-
-    Exists exactly when every generator image of h is a unit, which makes
-    the inclusion the kernel of the reduced quotient.
-    """
-    be = h.dom.backend
-    _, embed = group_completion(h.cod)
-    _, incl = group_completion(u)
-    lift = be.factor_mono(be.compose(h.ext, embed), incl)
-    try:
-        return None if lift is None else make_mon_morphism(h.dom, u, lift)
-    except ValidationError:
-        return None
-
-
-def factor_through_reduction(h: MonMorphism, eta: MonMorphism) -> MonMorphism | None:
-    """Factor h: M -> T through the reduced quotient M -> M/U, if possible.
-
-    Exists exactly when h kills the units, which makes the quotient the
-    cokernel of the unit inclusion.
-    """
-    psi = h.dom.backend.factor_epi(h.ext, eta.ext)
-    try:
-        return None if psi is None else make_mon_morphism(eta.cod, h.cod, psi)
-    except ValidationError:
-        return None
-
-
-def positive_cone_mor(f: po.PreOrdMor) -> MonMorphism:
+def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
     """P on morphisms: the restriction of f to the cones.
 
     Abelian morphisms carry membership certificates for their generator
-    images; those certificate rows are exactly the extension matrix on
-    generator coordinates.
+    images; those certificate rows are exactly the matrix of the map
+    between the completions, on generator coordinates.
     """
     mdom = positive_cone(f.dom)
     mcod = positive_cone(f.cod)
-    if f.dom.universe == ABELIAN:
+    if f.dom.universe == po.ABELIAN:
         certs = f.certs
         if certs is None:
             certs = tuple(
@@ -266,7 +171,9 @@ def positive_cone_mor(f: po.PreOrdMor) -> MonMorphism:
     gc, incl_c = group_completion(mcod)
     index_c = {a: i for i, a in enumerate(incl_c.mapping)}
     mapping = tuple(index_c[f.map.mapping[a]] for a in incl_d.mapping)
-    return MonMorphism(mdom, mcod, fg.FinMorphism(gd, gc, mapping))
+    return po.PreOrdMor(
+        completion_object(mdom), completion_object(mcod), fg.FinMorphism(gd, gc, mapping)
+    )
 
 
 def comparison_morphism(m: ConeMonoid) -> po.PreOrdMor:
@@ -276,7 +183,7 @@ def comparison_morphism(m: ConeMonoid) -> po.PreOrdMor:
     return po.PreOrdMor(completion_object(m), ambient_object(m), embed, certs)
 
 
-def fhat_consistency(m: ConeMonoid) -> MonMorphism:
+def fhat_consistency(m: ConeMonoid) -> po.PreOrdMor:
     """P of the completion object back onto the monoid, an isomorphism."""
     source = positive_cone(completion_object(m))
     gs, _ = group_completion(source)

@@ -210,14 +210,15 @@ def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
 
 def random_mon_morphism(
     rng: DetRng, dom: mp.ConeMonoid, cod: mp.ConeMonoid, tries: int = MORPHISM_TRIES
-) -> mp.MonMorphism:
-    """A valid monoid morphism dom -> cod; zero when tries run out."""
+) -> po.PreOrdMor:
+    """A valid monoid morphism dom -> cod, between their completion objects;
+    zero when tries run out."""
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
+    source, target = mp.completion_object(dom), mp.completion_object(cod)
     if dom.universe == po.FINITE:
         # a finite completion is the whole monoid: any map of them will do
-        f = _first_valid(rng, mp.completion_object(dom), mp.completion_object(cod), tries)
-        return mp.make_mon_morphism(dom, cod, f.map)
+        return _first_valid(rng, source, target, tries)
     ngen = dom.gens.rows
     mgen = cod.gens.rows
     for _ in range(tries):
@@ -226,4 +227,4 @@ def random_mon_morphism(
             return mp.make_mon_morphism(dom, cod, rows)
         except ValidationError:
             continue
-    return mp.mon_zero(dom, cod)
+    return po.zero_preord(source, target)

@@ -129,6 +129,17 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert cli.main(["classify", "/nonexistent/ws.txt", "x"]) == 1
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"object a\nuniverse abelian\nrank 1\n\xff\n")
+        assert cli.main(["classify", str(path), "a"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}:")
+
+    def test_unwritable_out(self, workspace_file, capsys):
+        out = "/nonexistent/dir/o.txt"
+        assert cli.main(["--out", out, "classify", workspace_file, "zn"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
+
     def test_parse_error_location(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("object a\nuniverse abelian\nrank 1\ncone 1 2\n")

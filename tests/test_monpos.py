@@ -6,7 +6,10 @@ from preordgrp import fgabelian as ab
 from preordgrp import finitegroup as fg
 from preordgrp import monpos as mp
 from preordgrp import preord as po
+from preordgrp import probes as pr
+from preordgrp import verify as v
 from preordgrp.errors import ValidationError
+from preordgrp.rng import DetRng
 
 Z = ab.make_group(1, [])
 ZZ = ab.make_group(2, [])
@@ -18,6 +21,16 @@ def monoid(group, gens):
 
 def contains(m, x):
     return po.cone_contains(mp.ambient_object(m), x)
+
+
+def lift_to_units(h, ses):
+    """Lift h: T -> M through the unit inclusion, or None."""
+    return v._factor_through_mono(h, mp.completion_object(ses.units), ses.kappa)
+
+
+def descend_to_reduced(h, ses):
+    """Descend h: M -> T through the reduced quotient, or None."""
+    return v._factor_through_epi(h, mp.completion_object(ses.reduced), ses.eta)
 
 
 NAT = monoid(Z, [[1]])
@@ -88,7 +101,7 @@ class TestTorsionTheory:
             ses = mp.torsion_ses(m)
             assert mp.is_group_monoid(ses.units)
             assert mp.is_reduced(ses.reduced)
-            assert mp.mon_is_zero(mp.mon_compose(ses.kappa, ses.eta))
+            assert po.is_z_trivial(po.compose_preord(ses.kappa, ses.eta))
 
     def test_finite_monoids_are_groups(self):
         assert mp.is_group_monoid(A3M)
@@ -103,39 +116,68 @@ class TestFactorizations:
         ses = mp.torsion_ses(M235)
         T = monoid(Z, [[1], [-1]])
         h = mp.make_mon_morphism(T, M235, [[1, 1, 1], [4, 4, 4]])
-        fac = mp.factor_through_units(h, ses.units)
+        fac = lift_to_units(h, ses)
         assert fac is not None
-        assert mp.mon_eq(mp.mon_compose(fac, ses.kappa), h)
+        assert po.mor_eq(po.compose_preord(fac, ses.kappa), h)
 
     def test_kernel_factorization_fails_outside_units(self):
         ses = mp.torsion_ses(NAT)
         h = mp.make_mon_morphism(NAT, NAT, [[1]])
-        assert mp.factor_through_units(h, ses.units) is None
+        assert lift_to_units(h, ses) is None
 
     def test_cokernel_factorization(self):
         ses = mp.torsion_ses(M235)
-        h = mp.mon_zero(M235, NAT)
-        fac = mp.factor_through_reduction(h, ses.eta)
+        h = po.zero_preord(mp.completion_object(M235), mp.completion_object(NAT))
+        fac = descend_to_reduced(h, ses)
         assert fac is not None
-        assert mp.mon_eq(mp.mon_compose(ses.eta, fac), h)
+        assert po.mor_eq(po.compose_preord(ses.eta, fac), h)
 
     def test_cokernel_factorization_fails_when_units_survive(self):
         ses = mp.torsion_ses(M235)
         h = mp.make_mon_morphism(M235, M235, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert mp.factor_through_reduction(h, ses.eta) is None
+        assert descend_to_reduced(h, ses) is None
 
     def test_group_to_reduced_must_be_zero(self):
         with pytest.raises(ValidationError):
             mp.make_mon_morphism(FULL, NAT, [[1], [1]])
         h = mp.make_mon_morphism(FULL, NAT, [[0], [0]])
-        assert mp.mon_is_zero(h)
+        assert po.is_z_trivial(h)
+
+
+class TestMonoidMorphisms:
+    def test_negative_row_inside_the_monoid_is_accepted(self):
+        # -1 is FULL's second generator, so the search certifies the row
+        h = mp.make_mon_morphism(NAT, FULL, [[-1, 0]])
+        assert h.certs == ((0, 1),)
+
+    def test_negative_row_outside_the_monoid_is_rejected(self):
+        with pytest.raises(ValidationError, match="outside"):
+            mp.make_mon_morphism(NAT, NAT, [[-1]])
+
+    @pytest.mark.parametrize("universe", [po.ABELIAN, po.FINITE])
+    def test_morphisms_run_between_completion_objects(self, universe):
+        entries = pr.monoid_probes(universe)
+        root = DetRng.from_seed(0).child("completion-ends")
+        for name, m in entries:
+            ses = mp.torsion_ses(m)
+            identity = po.identity_preord(mp.ambient_object(m))
+            arrows = [
+                (ses.kappa, ses.units, m),
+                (ses.eta, m, ses.reduced),
+                (mp.positive_cone_mor(identity), m, m),
+            ]
+            for tname, t in entries:
+                arrows.append((pr.random_mon_morphism(root.child(f"{name}->{tname}"), m, t), m, t))
+            for f, dom, cod in arrows:
+                assert f.dom == mp.completion_object(dom), name
+                assert f.cod == mp.completion_object(cod), name
 
 
 class TestConeFunctor:
     def test_on_morphisms_uses_certificates(self):
         f = po.make_morphism(po.make_object(Z, [[1]]), po.make_object(Z, [[2]]), [[4]])
         h = mp.positive_cone_mor(f)
-        assert h.ext.matrix.to_rows() == ((2,),)
+        assert h.map.matrix.to_rows() == ((2,),)
 
     def test_functorial(self):
         zn = po.make_object(Z, [[1]])
@@ -143,15 +185,15 @@ class TestConeFunctor:
         f1 = po.make_morphism(zn, zc2, [[2]])
         f2 = po.make_morphism(zc2, zn, [[1]])
         lhs = mp.positive_cone_mor(po.compose_preord(f1, f2))
-        rhs = mp.mon_compose(mp.positive_cone_mor(f1), mp.positive_cone_mor(f2))
-        assert mp.mon_eq(lhs, rhs)
+        rhs = po.compose_preord(mp.positive_cone_mor(f1), mp.positive_cone_mor(f2))
+        assert po.mor_eq(lhs, rhs)
 
     def test_finite_on_morphisms(self):
         s3a3 = po.make_object(S3, [3])
         z2full = po.make_object(fg.cyclic_group(2), [1])
         sgn = po.make_morphism(s3a3, z2full, (0, 1, 1, 0, 0, 1))
         h = mp.positive_cone_mor(sgn)
-        assert mp.mon_is_zero(h)  # A3 lands in the kernel of the sign
+        assert po.is_z_trivial(h)  # A3 lands in the kernel of the sign
 
 
 class TestComparisonAndConsistency:
@@ -168,7 +210,7 @@ class TestComparisonAndConsistency:
 
     def test_fhat_is_isomorphism(self):
         for m in (NAT, EVEN, M235, HALF, A3M):
-            assert mp.mon_is_isomorphism(mp.fhat_consistency(m))
+            assert po.is_isomorphism(mp.fhat_consistency(m))
 
 
 class TestSpecialSes:
@@ -178,8 +220,8 @@ class TestSpecialSes:
         assert s.sub.group == ab.make_group(1, [])
         assert s.sub.cone.to_rows() == ((1,),)
         assert s.quot.group == ab.make_group(1, [[2]])
-        assert mp.mon_is_isomorphism(mp.positive_cone_mor(s.incl))
-        assert mp.mon_is_zero(mp.positive_cone_mor(s.proj))
+        assert po.is_isomorphism(mp.positive_cone_mor(s.incl))
+        assert po.is_z_trivial(mp.positive_cone_mor(s.proj))
         assert mp.is_trivial_monoid(mp.positive_cone(s.quot))
 
     def test_subgroup_must_contain_cone(self):
@@ -193,5 +235,5 @@ class TestSpecialSes:
         s = mp.special_ses(s3a3, [3])
         assert s.sub.group.order == 3
         assert s.quot.group.order == 2
-        assert mp.mon_is_isomorphism(mp.positive_cone_mor(s.incl))
-        assert mp.mon_is_zero(mp.positive_cone_mor(s.proj))
+        assert po.is_isomorphism(mp.positive_cone_mor(s.incl))
+        assert po.is_z_trivial(mp.positive_cone_mor(s.proj))
