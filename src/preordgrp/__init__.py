@@ -8,9 +8,11 @@ full surface of each one:
     finitegroup  finite groups via Cayley tables
     preord       preordered groups: (co)kernels relative to discrete objects,
                  pretorsion decomposition, the adjoint triple, squares
-    monpos       positive-cone monoids, their torsion theory, completions
+    monpos       positive-cone monoids, each carried by the object it is the
+                 cone of: their torsion theory, completions, the cone functor
     probes       the fixed probe library and the seeded samplers
-    verify       certificate-producing checks for every universal property
+    verify       certificate-producing checks for every universal property;
+                 p-functor checks the units P gives by membership queries
     fileformat   the line-oriented workspace format
     cli          the `preordgrp` command
 
@@ -28,7 +30,7 @@ from .fgabelian import FgAbGroup, make_group
 from .fileformat import Workspace, format_workspace, parse_workspace
 from .finitegroup import FiniteGroup, cyclic_group, group_from_permutations, make_finite_group
 from .intmat import IntMatrix, hilbert_basis, nonneg_feasible
-from .monpos import ConeMonoid, positive_cone, torsion_ses
+from .monpos import positive_cone, torsion_ses
 from .preord import (
     ABELIAN,
     FINITE,
@@ -51,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABELIAN",
     "Certificate",
-    "ConeMonoid",
     "DimensionError",
     "FINITE",
     "FgAbGroup",

@@ -3,9 +3,10 @@
 Every construction command loads a workspace file, applies one
 construction to a named entity, and prints the result in the workspace
 format, re-printing the endpoint objects so the output re-loads on its
-own.  Monoids print as the object form of their ambient presentation
-(group plus generator cone).  `check` and `check-one` run the
-verification harness and print certificate reports.
+own.  A monoid is the object it is the cone of, so `stable` prints its
+object unchanged.  `check` and `check-one` run the verification harness
+and print certificate reports; `p-functor` checks the units P gives
+against the cone elements that membership finds invertible.
 
 The construction commands are one table, COMMANDS: each maps a command
 to the kind of entity it takes, its construction, and the names of the
@@ -21,6 +22,7 @@ import argparse
 import sys
 
 from . import fileformat as ff
+from . import finitegroup as fg
 from . import monpos as mp
 from . import preord as po
 from . import verify as v
@@ -36,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_in(low: int, high=float("inf")):
+    """An argparse type: an integer from low to high."""
+
+    def integer(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in {low}..{high}, got {value}")
+        return value
+
+    return integer
+
+
 def _need(ws: ff.Workspace, kind: str, name: str):
     table = ws.objects if kind == "object" else ws.morphisms
     if name not in table:
@@ -49,7 +63,7 @@ def _sequence(x):
 
 
 def _compare(x):
-    cmpr = mp.comparison_morphism(mp.positive_cone(x))
+    cmpr = mp.comparison_morphism(x)
     return cmpr.dom, x, cmpr
 
 
@@ -85,14 +99,10 @@ COMMANDS = {
                   ("{n}.D", "{n}", "{n}.iota : {n}.D -> {n}")),
     "functor-c": ("object", lambda x: (x, *po.functor_C(x)),
                   ("{n}", "{n}.C", "{n}.pi : {n} -> {n}.C")),
-    "stable": ("object", lambda x: (mp.ambient_object(mp.positive_cone(x)),), ("{n}.P",)),
-    "grpcompletion": ("object", lambda x: (mp.completion_object(mp.positive_cone(x)),),
-                      ("{n}.grp",)),
-    "units": ("object", lambda x: (mp.ambient_object(mp.units(mp.positive_cone(x))[0]),),
-              ("{n}.units",)),
-    "reduce": ("object",
-               lambda x: (mp.ambient_object(mp.quotient_by_units(mp.positive_cone(x))[0]),),
-               ("{n}.reduced",)),
+    "stable": ("object", lambda x: (mp.positive_cone(x),), ("{n}.P",)),
+    "grpcompletion": ("object", lambda x: (mp.completion_object(x),), ("{n}.grp",)),
+    "units": ("object", lambda x: (mp.units(x)[0],), ("{n}.units",)),
+    "reduce": ("object", lambda x: (mp.quotient_by_units(x)[0],), ("{n}.reduced",)),
     "compare": ("object", _compare, ("{n}.grp", "{n}", "{n}.compare : {n}.grp -> {n}")),
 }
 
@@ -137,18 +147,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="preordgrp", description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    order_cap = _int_in(1, fg.ORDER_CAP)
     for command, (kind, _, _) in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("file", help="workspace file")
         p.add_argument("name", help=f"{kind} name")
-        p.add_argument("--universe-cap", type=int, help="finite order cap override")
+        p.add_argument("--universe-cap", type=order_cap, help="finite order cap override")
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_int_in(1), default=None)
     p = sub.add_parser("check-one")
     p.add_argument("claim", help="one of " + ", ".join(v.claim_names()))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_int_in(1), default=None)
     return parser
 
 

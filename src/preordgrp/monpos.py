@@ -1,9 +1,9 @@
 """Positive-cone monoids and the cone functor from preordered groups.
 
-A cone monoid is the positive cone of a preordered group kept together
-with its ambient group: abelian monoids are generator rows over a
-presented group, finite ones are closed subsets of a Cayley-table group.
-Its group completion is presented on generator coordinates (one basis
+A monoid is carried by the preordered group it is the cone of, a
+preord.PreOrdObj: abelian monoids are generator rows over a presented
+group, finite ones are closed subsets of a Cayley-table group.  Its group
+completion is presented on generator coordinates (one basis
 element per monoid generator, relations the vanishing lattice), and the
 completion object is that group preordered by the monoid.  A monoid
 morphism M -> N is a preord morphism between the completion objects of
@@ -11,7 +11,7 @@ M and N; such a cone generates its group, so z-trivial means zero.
 
 The torsion theory of this category is computed exactly: the unit group
 of a monoid, the reduced quotient by it, and the short exact sequence
-they form.  The cone functor P sends objects to their cones and
+they form.  The cone functor P is the identity on objects and sends
 morphisms to their certificate matrices; the comparison morphism embeds
 the completion back into the ambient group, and the consistency map
 identifies P of that completion object with the monoid it came from.
@@ -32,33 +32,13 @@ from . import preord as po
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class ConeMonoid:
-    ambient: object  # FgAbGroup | FiniteGroup
-    gens: object  # IntMatrix of generator rows | frozenset of elements
-
-    @property
-    def backend(self):
-        return po._backend_of(self.ambient)
-
-    @property
-    def universe(self) -> str:
-        return self.backend.name
-
-    def __repr__(self):
-        return f"ConeMonoid({self.ambient!r}, gens={self.backend.listed(self.gens)})"
-
-
-def positive_cone(obj: po.PreOrdObj) -> ConeMonoid:
-    return ConeMonoid(obj.group, obj.cone)
-
-
-def ambient_object(m: ConeMonoid) -> po.PreOrdObj:
-    return po.PreOrdObj(m.ambient, m.gens)
+def positive_cone(obj: po.PreOrdObj) -> po.PreOrdObj:
+    """P on objects: a monoid is carried by the object it is the cone of."""
+    return obj
 
 
 @lru_cache(maxsize=4096)
-def group_completion(m: ConeMonoid):
+def group_completion(m: po.PreOrdObj):
     """The subgroup the monoid generates, on generator coordinates.
 
     Returns (group, embed) with embed the injection into the ambient
@@ -66,16 +46,16 @@ def group_completion(m: ConeMonoid):
     the vanishing lattice as relations, finite ones are the closed subset
     itself presented as a group.
     """
-    return m.backend.completion(m.ambient, m.gens)
+    return m.backend.completion(m.group, m.cone)
 
 
-def completion_object(m: ConeMonoid) -> po.PreOrdObj:
+def completion_object(m: po.PreOrdObj) -> po.PreOrdObj:
     """The completion preordered by the monoid itself."""
     group, _ = group_completion(m)
     return po.PreOrdObj(group, m.backend.completion_cone(group))
 
 
-def ore_condition_failure(m: ConeMonoid):
+def ore_condition_failure(m: po.PreOrdObj):
     """A pair (a, b) with no common multiple x + a = y + b inside the monoid.
 
     Abelian monoids always satisfy the condition with x = b, y = a.  Finite
@@ -83,15 +63,15 @@ def ore_condition_failure(m: ConeMonoid):
     """
     if m.universe == po.ABELIAN:
         return None
-    for a in m.gens:
-        for b in m.gens:
-            target = {m.ambient.mul(x, a) for x in m.gens}
-            if target.isdisjoint({m.ambient.mul(y, b) for y in m.gens}):
+    for a in m.cone:
+        for b in m.cone:
+            target = {m.group.mul(x, a) for x in m.cone}
+            if target.isdisjoint({m.group.mul(y, b) for y in m.cone}):
                 return (a, b)
     return None
 
 
-def make_mon_morphism(dom: ConeMonoid, cod: ConeMonoid, rows) -> po.PreOrdMor:
+def make_mon_morphism(dom: po.PreOrdObj, cod: po.PreOrdObj, rows) -> po.PreOrdMor:
     """Build from generator images given in codomain generator coordinates.
 
     A nonnegative abelian row is its own certificate over the completion's
@@ -103,47 +83,37 @@ def make_mon_morphism(dom: ConeMonoid, cod: ConeMonoid, rows) -> po.PreOrdMor:
     return po.make_morphism(completion_object(dom), completion_object(cod), rows, certs)
 
 
-def is_group_monoid(m: ConeMonoid) -> bool:
-    """Every element invertible: each generator occurs in a vanishing sum."""
-    return po.classify_object(ambient_object(m)).torsion
-
-
-def is_reduced(m: ConeMonoid) -> bool:
-    """No unit but zero."""
-    return po.classify_object(ambient_object(m)).torsion_free
-
-
-def is_trivial_monoid(m: ConeMonoid) -> bool:
+def is_trivial_monoid(m: po.PreOrdObj) -> bool:
     be = m.backend
-    return all(be.is_zero(m.ambient, x) for x in be.cone_elements(m.gens))
+    return all(be.is_zero(m.group, x) for x in be.cone_elements(m.cone))
 
 
-def units(m: ConeMonoid):
+def units(m: po.PreOrdObj):
     """The unit group as a submonoid; returns (U, inclusion)."""
-    tobj, kappa = po.torsion_part(ambient_object(m))
-    return positive_cone(tobj), positive_cone_mor(kappa)
+    tobj, kappa = po.torsion_part(m)
+    return tobj, positive_cone_mor(kappa)
 
 
-def quotient_by_units(m: ConeMonoid):
+def quotient_by_units(m: po.PreOrdObj):
     """The reduced quotient; returns (M/U, projection)."""
     if m.universe == po.FINITE:
         # every element is a unit, so the quotient is trivial
-        reduced = ConeMonoid(fg.trivial_group(), frozenset({0}))
+        reduced = po.PreOrdObj(fg.trivial_group(), frozenset({0}))
         return reduced, po.zero_preord(completion_object(m), completion_object(reduced))
-    seq = po.canonical_sequence(ambient_object(m))
-    return positive_cone(seq.torsion_free), positive_cone_mor(seq.eta)
+    seq = po.canonical_sequence(m)
+    return seq.torsion_free, positive_cone_mor(seq.eta)
 
 
 @dataclass(frozen=True)
 class MonSes:
-    units: ConeMonoid
+    units: po.PreOrdObj
     kappa: po.PreOrdMor
-    monoid: ConeMonoid
-    reduced: ConeMonoid
+    monoid: po.PreOrdObj
+    reduced: po.PreOrdObj
     eta: po.PreOrdMor
 
 
-def torsion_ses(m: ConeMonoid) -> MonSes:
+def torsion_ses(m: po.PreOrdObj) -> MonSes:
     """U(M) -> M ->> M/U(M)."""
     u, kappa = units(m)
     reduced, eta = quotient_by_units(m)
@@ -157,8 +127,6 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
     images; those certificate rows are exactly the matrix of the map
     between the completions, on generator coordinates.
     """
-    mdom = positive_cone(f.dom)
-    mcod = positive_cone(f.cod)
     if f.dom.universe == po.ABELIAN:
         certs = f.certs
         if certs is None:
@@ -166,26 +134,26 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
                 po.cone_certificate(f.cod, ab.apply(f.map, f.dom.cone.row(i)))
                 for i in range(f.dom.cone.rows)
             )
-        return make_mon_morphism(mdom, mcod, [list(c) for c in certs])
-    gd, incl_d = group_completion(mdom)
-    gc, incl_c = group_completion(mcod)
+        return make_mon_morphism(f.dom, f.cod, [list(c) for c in certs])
+    gd, incl_d = group_completion(f.dom)
+    gc, incl_c = group_completion(f.cod)
     index_c = {a: i for i, a in enumerate(incl_c.mapping)}
     mapping = tuple(index_c[f.map.mapping[a]] for a in incl_d.mapping)
     return po.PreOrdMor(
-        completion_object(mdom), completion_object(mcod), fg.FinMorphism(gd, gc, mapping)
+        completion_object(f.dom), completion_object(f.cod), fg.FinMorphism(gd, gc, mapping)
     )
 
 
-def comparison_morphism(m: ConeMonoid) -> po.PreOrdMor:
+def comparison_morphism(m: po.PreOrdObj) -> po.PreOrdMor:
     """(completion, M) -> (ambient, M), always a monomorphism."""
     _, embed = group_completion(m)
-    certs = m.backend.unit_certs(m.gens)
-    return po.PreOrdMor(completion_object(m), ambient_object(m), embed, certs)
+    certs = m.backend.unit_certs(m.cone)
+    return po.PreOrdMor(completion_object(m), m, embed, certs)
 
 
-def fhat_consistency(m: ConeMonoid) -> po.PreOrdMor:
+def fhat_consistency(m: po.PreOrdObj) -> po.PreOrdMor:
     """P of the completion object back onto the monoid, an isomorphism."""
-    source = positive_cone(completion_object(m))
+    source = completion_object(m)
     gs, _ = group_completion(source)
     # completing the completion relabels nothing: each generator of gs goes
     # to the generator of m's completion with the same coordinate

@@ -12,14 +12,14 @@ Two decidable universes are supported:
 Each universe has one small backend, picked once from the group type by
 _backend_of and reached as obj.backend.  A backend supplies the primitives
 on underlying maps (identity, zero, compose, equality, apply, zero test,
-injective, surjective), the cone elements (generator rows, or the sorted
-nonzero elements of a finite cone), the quotient of a group by a normal
-set of elements, factoring a map through an injection or a surjection,
-and a budgeted cone check.  For the checking harness it also supplies a
-random candidate map (draw_map), the data that keys an object or a map
-(key_data, map_data), the one-generator probe hitting an element
-(cyclic_probe), the order in which mutants drop cone elements
-(puncture_order), and the cone-containing subgroups to test
+injective, surjective), the inverse of an element, the cone elements
+(generator rows, or the sorted nonzero elements of a finite cone), the
+quotient of a group by a normal set of elements, factoring a map through
+an injection or a surjection, and a budgeted cone check.  For the
+checking harness it also supplies a random candidate map (draw_map), the
+data that keys an object or a map (key_data, map_data), the one-generator
+probe hitting an element (cyclic_probe), the order in which mutants drop
+cone elements (puncture_order), and the cone-containing subgroups to test
 (subgroup_candidates).  The constructions are written once on top of
 these, and branch on the universe only where the two compute different
 things: the pullback's presentation and the abelian-only pushout.
@@ -63,6 +63,7 @@ from .intmat import (
     monoid_zero_solutions,
     nonneg_search,
     row_times_matrix,
+    vec_neg,
 )
 
 ABELIAN = "abelian"
@@ -181,6 +182,9 @@ class _AbelianBackend(_Backend):
 
     def is_zero(self, group, x):
         return ab.is_zero_element(group, x)
+
+    def inverse(self, group, x):
+        return vec_neg(x)
 
     def injective(self, f):
         return ab.is_injective(f)
@@ -376,6 +380,9 @@ class _FiniteBackend(_Backend):
 
     def is_zero(self, group, x):
         return x == 0
+
+    def inverse(self, group, x):
+        return group.inv(x)
 
     def injective(self, f):
         return fg.fin_is_injective(f)

@@ -92,15 +92,6 @@ def probes_for(universe: str) -> tuple[Probe, ...]:
     return probes()
 
 
-def monoid_probes(universe: str) -> tuple[tuple[str, mp.ConeMonoid], ...]:
-    """The positive cones of the fixed probes, skipping repeats; a repeated
-    cone keeps the name of its first probe."""
-    names = {}
-    for probe in probes_for(universe):
-        names.setdefault(mp.positive_cone(probe.obj), probe.name)
-    return tuple((name, m) for m, name in names.items())
-
-
 @lru_cache(maxsize=1)
 def _quaternion8() -> fg.FiniteGroup:
     # left multiplication by i and by j on (1, -1, i, -i, j, -j, k, -k)
@@ -180,25 +171,18 @@ def random_object(rng: DetRng, universe: str) -> po.PreOrdObj:
 SAMPLER_STATE_CAP = 1_500
 
 
-def _first_valid(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int) -> po.PreOrdMor:
+def random_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.PreOrdMor:
     """The first candidate map that provably carries dom's cone into cod's,
-    or the zero morphism when `tries` candidates fail."""
+    or the zero morphism when MORPHISM_TRIES candidates fail."""
+    if dom.universe != cod.universe:
+        raise ValidationError("morphisms do not cross universes")
     be = dom.backend
-    for _ in range(tries):
+    for _ in range(MORPHISM_TRIES):
         f = be.draw_map(rng, dom, cod)
         mor = None if f is None else be.cone_check(dom, cod, f, SAMPLER_STATE_CAP)
         if mor is not None and mor is not po.UNDECIDED:
             return mor
     return po.zero_preord(dom, cod)
-
-
-def random_morphism(
-    rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, tries: int = MORPHISM_TRIES
-) -> po.PreOrdMor:
-    """A valid morphism dom -> cod; the zero morphism when tries run out."""
-    if dom.universe != cod.universe:
-        raise ValidationError("morphisms do not cross universes")
-    return _first_valid(rng, dom, cod, tries)
 
 
 def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
@@ -208,20 +192,18 @@ def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
     return random_morphism(rng.child("mor"), dom, cod)
 
 
-def random_mon_morphism(
-    rng: DetRng, dom: mp.ConeMonoid, cod: mp.ConeMonoid, tries: int = MORPHISM_TRIES
-) -> po.PreOrdMor:
+def random_mon_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.PreOrdMor:
     """A valid monoid morphism dom -> cod, between their completion objects;
-    zero when tries run out."""
+    zero when MORPHISM_TRIES draws fail."""
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     source, target = mp.completion_object(dom), mp.completion_object(cod)
     if dom.universe == po.FINITE:
         # a finite completion is the whole monoid: any map of them will do
-        return _first_valid(rng, source, target, tries)
-    ngen = dom.gens.rows
-    mgen = cod.gens.rows
-    for _ in range(tries):
+        return random_morphism(rng, source, target)
+    ngen = dom.cone.rows
+    mgen = cod.cone.rows
+    for _ in range(MORPHISM_TRIES):
         rows = [[rng.randint(0, 3) for _ in range(mgen)] for _ in range(ngen)]
         try:
             return mp.make_mon_morphism(dom, cod, rows)

@@ -22,6 +22,11 @@ sample count and its runner.  Sweep claims share one runner, which checks
 sampled morphisms with a witness function and, within a mutation budget,
 requires every mutant to be caught; the others run a verifier on the
 probe suite and once more with a corrupted construction.
+
+`p-functor` takes each probe as the monoid it is the cone of.  It checks
+the unit monoid P gives against the cone elements whose inverse lies in
+the cone, found by membership queries, and checks P on sampled composites
+and on the special sequences of cone-containing subgroups.
 """
 
 import hashlib
@@ -668,30 +673,31 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
-        entries = pr.monoid_probes(universe)
+        monoids = [(probe.name, probe.obj) for probe in suite_probes(suite, universe)]
         group_pool = []
         reduced_pool = []
         root = DetRng.from_seed(suite.seed).child("mon-torsion").child(universe)
-        for name, m in entries:
+        for name, m in monoids:
             ses = mp.torsion_ses(m)
             if corrupt is not None and name == corrupt:
                 # corrupted construction: pretend every element is a unit
                 whole = po.identity_preord(mp.completion_object(m))
                 ses = mp.MonSes(m, whole, m, ses.reduced, ses.eta)
             _bump(stats, "monoids")
-            if not mp.is_group_monoid(ses.units):
+            if not po.classify_object(ses.units).torsion:
                 witnesses.append(f"{name}: unit part is not a group")
-            if not mp.is_reduced(ses.reduced):
+            if not po.classify_object(ses.reduced).torsion_free:
                 witnesses.append(f"{name}: reduced part has units")
             if not po.is_z_trivial(po.compose_preord(ses.kappa, ses.eta)):
                 witnesses.append(f"{name}: unit inclusion does not vanish in the quotient")
-            if mp.is_group_monoid(m):
+            cls = po.classify_object(m)
+            if cls.torsion:
                 group_pool.append((name, m))
-            if mp.is_reduced(m):
+            if cls.torsion_free:
                 reduced_pool.append((name, m))
             units_obj = mp.completion_object(ses.units)
             reduced_obj = mp.completion_object(ses.reduced)
-            for tname, t in entries:
+            for tname, t in monoids:
                 h = pr.random_mon_morphism(root.child(f"{tname}->{name}"), t, m)
                 _bump(stats, "kernel-probes")
                 vanishes = po.is_z_trivial(po.compose_preord(h, ses.eta))
@@ -723,7 +729,7 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
 
 
 def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """The cone functor respects the torsion split and special sequences."""
+    """The cone functor P is a torsion-theory functor (see the module docstring)."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -731,41 +737,20 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
         root = DetRng.from_seed(suite.seed).child("p-functor").child(universe)
         for probe in probes:
             X = probe.obj
-            m = mp.positive_cone(X)
-            seq = po.canonical_sequence(X)
-            ses = mp.torsion_ses(m)
-            unit_gens = X.backend.cone_elements(ses.units.gens)
+            be = X.backend
+            units, _ = mp.units(mp.positive_cone(X))
+            unit_gens = be.cone_elements(units.cone)
             if corrupt == probe.name and unit_gens:
                 # corrupted construction: drop a generator of the unit monoid
-                smaller = X.backend.cone_without(ses.units.gens, len(unit_gens) - 1)
-                ses = mp.MonSes(
-                    mp.ConeMonoid(ses.units.ambient, smaller), ses.kappa, m, ses.reduced, ses.eta
-                )
+                smaller = be.cone_without(units.cone, len(unit_gens) - 1)
+                units = po.PreOrdObj(X.group, smaller)
             _bump(stats, "probes")
-            cls = po.classify_object(X)
-            if cls.torsion != mp.is_group_monoid(m):
-                witnesses.append(f"{probe.name}: torsion class and group-cone test disagree")
-            if cls.torsion_free != mp.is_reduced(m):
-                witnesses.append(f"{probe.name}: torsion-free class and reduced test disagree")
-            if universe == po.ABELIAN:
-                if ses.units.gens != seq.torsion.cone or ses.units.ambient != seq.torsion.group:
-                    witnesses.append(f"{probe.name}: unit monoid differs from the radical cone")
-                if (
-                    ses.reduced.ambient != seq.torsion_free.group
-                    or ses.reduced.gens != seq.torsion_free.cone
-                ):
-                    witnesses.append(f"{probe.name}: reduced monoid differs from the quotient cone")
-                if not po.mor_eq(mp.positive_cone_mor(seq.kappa), ses.kappa):
-                    witnesses.append(f"{probe.name}: cone of the left leg differs from the unit inclusion")
-                if not po.mor_eq(mp.positive_cone_mor(seq.eta), ses.eta):
-                    witnesses.append(f"{probe.name}: cone of the right leg differs from the reduction")
-            else:
-                if not mp.is_group_monoid(mp.positive_cone(seq.torsion)):
-                    witnesses.append(f"{probe.name}: radical cone is not a group")
-                if not mp.is_trivial_monoid(mp.positive_cone(seq.torsion_free)):
-                    witnesses.append(f"{probe.name}: quotient cone is not trivial")
-                if not mp.is_trivial_monoid(ses.reduced):
-                    witnesses.append(f"{probe.name}: reduced part of a group cone is not trivial")
+            # the units again, by membership queries instead of zero sums
+            invertible = [
+                x for x in be.cone_elements(X.cone) if po.cone_contains(X, be.inverse(X.group, x))
+            ]
+            if not _same_cone(units, po.make_object(X.group, invertible)):
+                witnesses.append(f"{probe.name}: unit monoid differs from the invertible part")
             # functoriality on sampled composable pairs
             for other in probes[:3]:
                 f = pr.random_morphism(root.child(f"{probe.name}>{other.name}"), X, other.obj)
@@ -775,7 +760,7 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
                 rhs = po.compose_preord(mp.positive_cone_mor(f), mp.positive_cone_mor(g))
                 if not po.mor_eq(lhs, rhs):
                     witnesses.append(f"{probe.name}->{other.name}: cone functor breaks composition")
-            for hname, subgroup in X.backend.subgroup_candidates(X):
+            for hname, subgroup in be.subgroup_candidates(X):
                 ses2 = mp.special_ses(X, subgroup)
                 _bump(stats, "subgroup-sequences")
                 if not po.is_isomorphism(mp.positive_cone_mor(ses2.incl)):
@@ -795,7 +780,8 @@ def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
-        for name, m in pr.monoid_probes(universe):
+        for probe in suite_probes(suite, universe):
+            name, m = probe.name, probe.obj
             _bump(stats, "monoids")
             if mp.ore_condition_failure(m) is not None:
                 witnesses.append(f"{name}: cone fails the common-multiple condition")

@@ -4,6 +4,7 @@ import pytest
 
 from preordgrp import cli
 from preordgrp import fileformat as ff
+from preordgrp import finitegroup as fg
 from preordgrp import verify as v
 
 from test_fileformat import demo_workspace
@@ -161,6 +162,28 @@ class TestExitCodes:
     def test_universe_cap_override(self, workspace_file, capsys):
         assert cli.main(["classify", workspace_file, "s3", "--universe-cap", "4"]) == 2
         assert "exceeds cap" in capsys.readouterr().err
+
+    def test_universe_cap_at_the_order_cap_is_accepted(self, workspace_file, capsys):
+        cap = str(fg.ORDER_CAP)
+        assert cli.main(["classify", workspace_file, "s3", "--universe-cap", cap]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-one", "intsolve", "--samples", "-3"],
+            ["check-one", "zker-up-abelian", "--samples", "0"],
+            ["check", "--samples", "0"],
+            ["classify", "WS", "s3", "--universe-cap", "0"],
+            ["classify", "WS", "s3", "--universe-cap", "513"],
+        ],
+        ids=["samples-negative", "samples-zero-sweep", "check-samples-zero", "cap-zero", "cap-above"],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, workspace_file, capsys, argv):
+        argv = [workspace_file if a == "WS" else a for a in argv]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
 
     def test_pushout_checks_unsupported_in_finite_universe(self, capsys):
         assert cli.main(["check-one", "gjm-pushout-finite"]) == 2

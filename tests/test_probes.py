@@ -82,7 +82,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize(
         "sampler",
-        [pr.probes_for, pr.monoid_probes, lambda u: pr.random_object(DetRng.from_seed(0), u),
+        [pr.probes_for, lambda u: pr.random_object(DetRng.from_seed(0), u),
          lambda u: pr.random_morphism_sample(DetRng.from_seed(0), u)],
     )
     def test_unknown_universe_is_rejected(self, sampler):

@@ -14,7 +14,7 @@ SRC = pathlib.Path(preordgrp.__file__).parent
 DISPATCH = re.compile(
     r"universe (==|!=)|isinstance\([^)]*(FgAbGroup|FiniteGroup|AbMorphism|FinMorphism)"
 )
-DISPATCH_CAP = 18
+DISPATCH_CAP = 17
 
 # Top-level functions kept with no caller in src/.
 ALLOWED_UNUSED = {

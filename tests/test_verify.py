@@ -186,6 +186,14 @@ class TestCorruptedVerifiers:
         assert v.verify_p_torsion_theory_functor(SUITE).passed
         assert not v.verify_p_torsion_theory_functor(SUITE, "Z-group-cone").passed
 
+    @pytest.mark.parametrize(
+        "touched", [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()], ids=["all", "none"]
+    )
+    def test_p_functor_catches_wrong_unit_generators(self, monkeypatch, touched):
+        # every cone generator called a unit, or none: the units are wrong
+        monkeypatch.setattr(po, "touched_unit_generators", touched)
+        assert not v.verify_p_torsion_theory_functor(v.default_suite(0)).passed
+
     def test_completion(self):
         assert v.verify_completion_theorem(SUITE).passed
         assert not v.verify_completion_theorem(SUITE, "Z-natural").passed
