@@ -347,11 +347,11 @@ class FinProduct:
     inj_right: FinMorphism
 
 
-def product_group(g: FiniteGroup, h: FiniteGroup, cap: int = ORDER_CAP) -> FinProduct:
+def product_group(g: FiniteGroup, h: FiniteGroup) -> FinProduct:
     """Direct product with pair (a, b) at index a * h.order + b."""
     n = g.order * h.order
-    if n > cap:
-        raise ResourceLimitError(f"product order {n} exceeds cap {cap}")
+    if n > ORDER_CAP:
+        raise ResourceLimitError(f"product order {n} exceeds cap {ORDER_CAP}")
     m = h.order
     table = tuple(
         g.mul(a, c) * m + h.mul(b, d)

@@ -500,9 +500,7 @@ def hilbert_basis(
     return _hilbert_completion([system.col(j) for j in range(system.cols)], state_cap, early)[0]
 
 
-def monoid_zero_solutions(
-    gens: IntMatrix, lattice: IntMatrix, state_cap: int = HILBERT_STATE_CAP
-) -> tuple[Vec, ...]:
+def monoid_zero_solutions(gens: IntMatrix, lattice: IntMatrix) -> tuple[Vec, ...]:
     """Coefficient parts of the Hilbert basis of c*gens = 0 modulo a lattice.
 
     Solves {(c, p, q) >= 0 : c*gens + (p - q)*lattice = 0} with the lattice
@@ -514,7 +512,8 @@ def monoid_zero_solutions(
     if lattice.cols != n:
         raise DimensionError("lattice columns must match generator columns")
     lat = lattice.to_rows()
-    full, _ = _hilbert_completion([*gens.to_rows(), *lat, *map(vec_neg, lat)], state_cap, None)
+    cols = [*gens.to_rows(), *lat, *map(vec_neg, lat)]
+    full, _ = _hilbert_completion(cols, HILBERT_STATE_CAP, None)
     seen = set()
     out = []
     for sol in full:

@@ -5,6 +5,7 @@ import pytest
 from preordgrp import fgabelian as ab
 from preordgrp import finitegroup as fg
 from preordgrp import preord as po
+from preordgrp import probes as pr
 from preordgrp import verify as v
 from preordgrp.errors import ValidationError
 
@@ -23,6 +24,12 @@ Z2FULL = po.make_object(fg.cyclic_group(2), [1])
 SGN = po.make_morphism(S3A3, Z2FULL, (0, 1, 1, 0, 0, 1))
 C3FULL = po.make_object(fg.cyclic_group(3), [1])
 INCL = po.make_morphism(C3FULL, S3A3, (0, 3, 4))
+
+# the ordered probe pairs the suite's pair samples are drawn for
+PROBE_PAIRS = [
+    (a, b) for universe in (po.ABELIAN, po.FINITE)
+    for a in pr.probes_for(universe) for b in pr.probes_for(universe)
+]
 
 
 class TestCertificateFormat:
@@ -75,22 +82,71 @@ class TestDeterminism:
             assert first == second
 
     def test_suite_rebuild_reproduces_samples(self):
-        a = v.make_suite(0, 4)
-        b = v.make_suite(0, 4)
-        assert a.objects == b.objects
-        for (da, ca, ma), (db, cb, mb) in zip(a.morphism_samples, b.morphism_samples):
-            assert (da, ca) == (db, cb)
-            assert all(po.mor_eq(x, y) for x, y in zip(ma, mb))
+        # the cached draws against fresh ones from the same streams
+        for a, b in PROBE_PAIRS:
+            cached = v._pair_samples(0, a, b, 4)
+            redrawn = v._pair_samples.__wrapped__(0, a, b, 4)
+            assert len(cached) == len(redrawn) == 4
+            assert all(po.mor_eq(x, y) for x, y in zip(cached, redrawn))
 
     def test_seed_changes_some_sample(self):
-        a = v.make_suite(0, 4)
-        b = v.make_suite(1, 4)
         different = any(
             not po.mor_eq(x, y)
-            for (_, _, ma), (_, _, mb) in zip(a.morphism_samples, b.morphism_samples)
-            for x, y in zip(ma, mb)
+            for a, b in PROBE_PAIRS
+            for x, y in zip(v._pair_samples(0, a, b, 4), v._pair_samples(1, a, b, 4))
         )
         assert different
+
+    def test_first_sample_does_not_depend_on_count(self):
+        # adjunction reads one sample per pair, pretorsion all of them
+        natural = pr.probes_for(po.ABELIAN)[1]
+        for b in pr.probes_for(po.ABELIAN):
+            one = v._pair_samples(0, natural, b, 1)
+            assert len(one) == 1
+            assert po.mor_eq(one[0], v._pair_samples(0, natural, b, 50)[0])
+
+
+class TestPairSamplesOnDemand:
+    """A suite draws nothing; verifiers draw the pair samples they read."""
+
+    SEED = 4242  # no other test uses it, so no pair sample is cached yet
+
+    def suite_draws(self, monkeypatch):
+        keys = []
+        draw = pr.random_morphism
+
+        def counted(rng, dom, cod):
+            if rng.key.startswith(f"seed:{self.SEED}/suite/"):
+                keys.append(rng.key.split("/suite/")[1])
+            return draw(rng, dom, cod)
+
+        monkeypatch.setattr(pr, "random_morphism", counted)
+        return keys
+
+    def test_suite_draws_nothing(self, monkeypatch):
+        keys = self.suite_draws(monkeypatch)
+        v.default_suite(self.SEED)
+        assert keys == []
+
+    def test_pretorsion_draws_torsion_to_free_pairs_only(self, monkeypatch):
+        keys = self.suite_draws(monkeypatch)
+        suite = v.default_suite(self.SEED, 3)
+        assert v.verify_pretorsion_axioms(suite).passed
+        expected = [
+            f"{a.name}->{b.name}/{j}"
+            for a, b in PROBE_PAIRS
+            if po.classify_object(a.obj).torsion and po.classify_object(b.obj).torsion_free
+            for j in range(3)
+        ]
+        assert expected and sorted(keys) == sorted(expected)
+        keys.clear()
+        v.verify_pretorsion_axioms(suite)
+        assert keys == []  # the second run reads the cached samples
+
+    def test_adjunction_draws_one_sample_per_pair(self, monkeypatch):
+        keys = self.suite_draws(monkeypatch)
+        assert v.verify_adjunctions(v.default_suite(self.SEED)).passed
+        assert sorted(keys) == sorted(f"{a.name}->{b.name}/0" for a, b in PROBE_PAIRS)
 
 
 def zker_passes(m, candidate=None):
