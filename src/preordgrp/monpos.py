@@ -26,7 +26,6 @@ it, while abelian monoid morphisms carry generator certificates.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fgabelian as ab
 from . import finitegroup as fg
 from . import preord as po
 from .errors import ValidationError
@@ -72,15 +71,10 @@ def ore_condition_failure(m: po.PreOrdObj):
 
 
 def make_mon_morphism(dom: po.PreOrdObj, cod: po.PreOrdObj, rows) -> po.PreOrdMor:
-    """Build from generator images given in codomain generator coordinates.
-
-    A nonnegative abelian row is its own certificate over the completion's
-    basis cone; the membership search decides any other row.
-    """
-    certs = dom.backend.certs(rows)
-    if certs is not None and any(v < 0 for row in certs for v in row):
-        certs = None
-    return po.make_morphism(completion_object(dom), completion_object(cod), rows, certs)
+    """Build from generator images given in codomain generator coordinates;
+    over the completion's basis cone a nonnegative row is its own
+    certificate."""
+    return po.make_morphism(completion_object(dom), completion_object(cod), rows)
 
 
 def is_trivial_monoid(m: po.PreOrdObj) -> bool:
@@ -130,10 +124,7 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
     if f.dom.universe == po.ABELIAN:
         certs = f.certs
         if certs is None:
-            certs = tuple(
-                po.cone_certificate(f.cod, ab.apply(f.map, f.dom.cone.row(i)))
-                for i in range(f.dom.cone.rows)
-            )
+            certs = po.make_morphism(f.dom, f.cod, f.map).certs
         return make_mon_morphism(f.dom, f.cod, [list(c) for c in certs])
     gd, incl_d = group_completion(f.dom)
     gc, incl_c = group_completion(f.cod)

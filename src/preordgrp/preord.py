@@ -14,12 +14,12 @@ _backend_of and reached as obj.backend.  A backend supplies the primitives
 on underlying maps (identity, zero, compose, equality, apply, zero test,
 injective, surjective), the inverse of an element, the cone elements
 (generator rows, or the sorted nonzero elements of a finite cone), the
-quotient of a group by a normal set of elements, factoring a map through
-an injection or a surjection, and a budgeted cone check.  For the
-checking harness it also supplies a random candidate map (draw_map), the
-data that keys an object or a map (key_data, map_data), the one-generator
-probe hitting an element (cyclic_probe), the order in which mutants drop
-cone elements (puncture_order), and the cone-containing subgroups to test
+quotient of a group by a normal set of elements, and factoring a map
+through an injection or a surjection.  For the checking harness it also
+supplies a random candidate map (draw_map), the data that keys an object
+or a map (key_data, map_data), the one-generator probe hitting an element
+(cyclic_probe), the order in which mutants drop cone elements
+(puncture_order), and the cone-containing subgroups to test
 (subgroup_candidates).  The constructions are written once on top of
 these, and branch on the universe only where the two compute different
 things: the pullback's presentation and the abelian-only pushout.
@@ -34,16 +34,19 @@ the comparison morphism onto the matching relative construction.
 
 Abelian cone membership proofs travel with morphisms as certificate rows
 (nonnegative coefficients over the codomain cone generators), so composing
-or re-checking morphisms never re-runs the membership search.  Finite
-morphisms carry no certificates.
+morphisms never re-runs the membership search.  Finite morphisms carry no
+certificates.
 
-Every abelian membership question goes through one oracle, cone_membership,
+make_morphism is the one check that a map carries cone into cone; samplers
+and factorization checks pass it a state budget.  Its abelian certificates
+come from cone_certificate: over a basis cone (the identity matrix of the
+group's rank, as on every completion object) a nonnegative x is its own
+certificate, and every other question goes to one oracle, cone_membership,
 behind one bounded LRU cache keyed on (gens, relations, x).  The cache is
 budget-exact, answering as the uncached search with the same state budget
 would: a decided answer is served only to budgets at least the number of
 states its search visited, UNDECIDED only to budgets no larger than the one
-that ran out.  Samplers and factorization checks call it through the
-backends' budgeted cone_check.
+that ran out.
 """
 
 from dataclasses import dataclass, field
@@ -231,20 +234,6 @@ class _AbelianBackend(_Backend):
     def contains(self, obj, x, budget=None):
         return cone_certificate(obj, x, budget)
 
-    def cone_check(self, dom, cod, mapping, budget=None):
-        """The morphism when mapping carries dom's cone into cod's, with a
-        certificate per generator; else the first failure in generator
-        order: None for an image outside cod's cone, UNDECIDED for one whose
-        membership needs more than `budget` states.  Without a budget the
-        search may raise ResourceLimitError."""
-        certs = []
-        for x in self.cone_elements(dom.cone):
-            cert = cone_certificate(cod, ab.apply(mapping, x), budget)
-            if cert is None or cert is UNDECIDED:
-                return cert
-            certs.append(cert)
-        return PreOrdMor(dom, cod, mapping, tuple(certs))
-
     def certs(self, rows):
         return tuple(rows)
 
@@ -295,17 +284,14 @@ class _AbelianBackend(_Backend):
         return IntMatrix.identity(group.rank)
 
     def draw_map(self, rng, dom, cod):
-        """A random homomorphism of the groups, or None when the rows drawn
-        are not one or some cone image lies outside the span of cod's cone."""
+        """A random homomorphism whose cone images lie in the span of cod's
+        cone; raises ValidationError when the rows drawn give none."""
         rows = [[rng.randint(-3, 3) for _ in range(cod.group.rank)] for _ in range(dom.group.rank)]
-        try:
-            f = ab.make_morphism(dom.group, cod.group, rows)
-        except ValidationError:
-            return None
+        f = ab.make_morphism(dom.group, cod.group, rows)
         span = _cone_span(cod.cone, cod.group.relations)
         if all(in_rowspan_reduced(span, ab.apply(f, x)) for x in self.cone_elements(dom.cone)):
             return f
-        return None
+        raise ValidationError("a cone image lies outside the span of the codomain cone")
 
     def key_data(self, obj):
         return ("a", obj.group.rank, obj.group.relations.entries, obj.cone.entries)
@@ -422,11 +408,6 @@ class _FiniteBackend(_Backend):
     def contains(self, obj, x, budget=None):
         return True if x in obj.cone else None
 
-    def cone_check(self, dom, cod, mapping, budget=None):
-        if any(mapping.mapping[p] not in cod.cone for p in dom.cone):
-            return None
-        return PreOrdMor(dom, cod, mapping)
-
     def normal_closure(self, group, elements):
         return fg.normal_closure(group, elements)
 
@@ -480,8 +461,8 @@ class _FiniteBackend(_Backend):
         return frozenset(range(group.order))
 
     def draw_map(self, rng, dom, cod):
-        """A random homomorphism of the groups sending each generator to an
-        element of dividing order, or None when that assignment is not one."""
+        """A random homomorphism sending each generator to an element of
+        dividing order; raises ValidationError when that assignment is not one."""
         images = [rng.choice(pool) for pool in _compatible_images(dom.group, cod.group)]
         mapping = []
         for word in _generator_words(dom.group):
@@ -489,10 +470,7 @@ class _FiniteBackend(_Backend):
             for i in word:
                 y = cod.group.mul(y, images[i])
             mapping.append(y)
-        try:
-            return fg.make_fin_morphism(dom.group, cod.group, mapping)
-        except ValidationError:
-            return None
+        return fg.make_fin_morphism(dom.group, cod.group, mapping)
 
     def key_data(self, obj):
         return ("f", obj.group.order, obj.group.table, tuple(sorted(obj.cone)))
@@ -611,13 +589,13 @@ def _zero_solutions(gens: IntMatrix, relations: IntMatrix):
 
 def cone_certificate(obj: PreOrdObj, x, budget: int | None = None):
     """Abelian: nonnegative coefficients writing x over the cone generators,
-    or None.
-
-    With a budget, a search needing more states returns UNDECIDED; without
-    one it may use HILBERT_STATE_CAP states and raises ResourceLimitError
-    beyond that.
-    """
+    or None.  Over a basis cone (the identity matrix of the group's rank) a
+    nonnegative x is its own certificate, found without a search.  With a
+    budget, a search needing more states returns UNDECIDED; without one it
+    may use HILBERT_STATE_CAP states and raises ResourceLimitError beyond."""
     x = tuple(x)
+    if min(x, default=0) >= 0 and obj.cone == IntMatrix.identity(obj.group.rank):
+        return x
     if ab.is_zero_element(obj.group, x):
         return (0,) * obj.cone.rows
     limit = HILBERT_STATE_CAP if budget is None else budget
@@ -631,38 +609,28 @@ def cone_contains(obj: PreOrdObj, x) -> bool:
     return obj.backend.contains(obj, x) is not None
 
 
-def _verify_cert(cod: PreOrdObj, y: Vec, cert) -> Vec:
-    cert = tuple(cert)
-    if len(cert) != cod.cone.rows:
-        raise ValidationError(
-            f"certificate has {len(cert)} coefficients for {cod.cone.rows} generators"
-        )
-    if any(c < 0 for c in cert):
-        raise ValidationError(f"certificate {cert} has a negative coefficient")
-    combo = row_times_matrix(cert, cod.cone) if cod.cone.rows else (0,) * cod.group.rank
-    if not ab.element_eq(cod.group, y, combo):
-        raise ValidationError(f"certificate {cert} does not produce {y}")
-    return cert
+def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, budget=None) -> PreOrdMor:
+    """Validate a morphism, checking cone images in cone_elements order.
 
-
-def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, certs=None) -> PreOrdMor:
-    """Validate a morphism; raises unless every cone generator lands in the cone.
-
-    For abelian codomains a membership certificate per domain generator is
-    either checked (when supplied) or computed by the exact search.
+    Raises ValidationError at the first image outside the cone, and
+    ResourceLimitError at one whose search needs more than `budget` states
+    (HILBERT_STATE_CAP without a budget).  Abelian morphisms carry each
+    image's certificate.
     """
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     be = dom.backend
     m = be.make_map(dom.group, cod.group, mapping)
-    out = []
-    for i, x in enumerate(be.cone_elements(dom.cone)):
+    certs = []
+    for x in be.cone_elements(dom.cone):
         y = be.apply(m, x)
-        cert = be.contains(cod, y) if certs is None else _verify_cert(cod, y, certs[i])
+        cert = be.contains(cod, y, budget)
         if cert is None:
             raise ValidationError(f"cone element {x} maps to {y}, outside the cone", witness=x)
-        out.append(cert)
-    return PreOrdMor(dom, cod, m, be.certs(out))
+        if cert is UNDECIDED:
+            raise ResourceLimitError(f"membership of {y} needs more than {budget} states")
+        certs.append(cert)
+    return PreOrdMor(dom, cod, m, be.certs(certs))
 
 
 def identity_preord(obj: PreOrdObj) -> PreOrdMor:

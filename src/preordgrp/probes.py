@@ -17,7 +17,7 @@ from . import fgabelian as ab
 from . import finitegroup as fg
 from . import monpos as mp
 from . import preord as po
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .rng import DetRng
 
 
@@ -178,10 +178,11 @@ def random_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.Pre
         raise ValidationError("morphisms do not cross universes")
     be = dom.backend
     for _ in range(MORPHISM_TRIES):
-        f = be.draw_map(rng, dom, cod)
-        mor = None if f is None else be.cone_check(dom, cod, f, SAMPLER_STATE_CAP)
-        if mor is not None and mor is not po.UNDECIDED:
-            return mor
+        try:
+            f = be.draw_map(rng, dom, cod)
+            return po.make_morphism(dom, cod, f, SAMPLER_STATE_CAP)
+        except (ValidationError, ResourceLimitError):
+            continue
     return po.zero_preord(dom, cod)
 
 

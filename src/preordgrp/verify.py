@@ -23,17 +23,18 @@ sampled morphisms with a witness function and, within a mutation budget,
 requires every mutant to be caught; the others run a verifier on the
 probe suite and once more with a corrupted construction.
 
-`p-functor` takes each probe as the monoid it is the cone of.  It checks
-the unit monoid P gives against the cone elements whose inverse lies in
-the cone, found by membership queries, and checks P on sampled composites
-and on the special sequences of cone-containing subgroups.
+The unit computations are checked against the cone elements whose inverse
+lies in the cone, found by membership queries: the torsion part in
+`pretorsion`, the unit monoid in `mon-torsion` and `p-functor`.  The
+latter takes each probe as the monoid it is the cone of, and also checks
+P on sampled composites and on the special sequences of cone-containing
+subgroups.
 """
 
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from . import fgabelian as ab
 from . import monpos as mp
 from . import preord as po
 from . import probes as pr
@@ -132,11 +133,25 @@ _FACTOR_STATE_CAP = 50_000
 _MUTANT_STATE_CAP = 4_000
 
 
+def _certified(src: po.PreOrdObj, dst: po.PreOrdObj, phi, budget=None):
+    """phi as a morphism src -> dst, None when phi is None or leaves the
+    cone, or po.UNDECIDED past a given budget."""
+    if phi is None:
+        return None
+    try:
+        return po.make_morphism(src, dst, phi, budget)
+    except ValidationError:
+        return None
+    except ResourceLimitError:
+        if budget is None:
+            raise
+        return po.UNDECIDED
+
+
 def _factor_through_mono(t: po.PreOrdMor, kobj: po.PreOrdObj, k: po.PreOrdMor):
     """Solve phi ; k = t with phi cone-preserving; None when impossible."""
-    be = t.dom.backend
-    phi = be.factor_mono(t.map, k.map)
-    mor = None if phi is None else be.cone_check(t.dom, kobj, phi, _FACTOR_STATE_CAP)
+    phi = t.dom.backend.factor_mono(t.map, k.map)
+    mor = _certified(t.dom, kobj, phi, _FACTOR_STATE_CAP)
     if mor is None or mor is po.UNDECIDED:
         return mor
     return mor if po.mor_eq(po.compose_preord(mor, k), t) else None
@@ -144,9 +159,7 @@ def _factor_through_mono(t: po.PreOrdMor, kobj: po.PreOrdObj, k: po.PreOrdMor):
 
 def _factor_through_epi(s: po.PreOrdMor, qobj: po.PreOrdObj, q: po.PreOrdMor):
     """Solve q ; psi = s with psi cone-preserving; None when impossible."""
-    be = s.dom.backend
-    psi = be.factor_epi(s.map, q.map)
-    mor = None if psi is None else be.cone_check(qobj, s.cod, psi)
+    mor = _certified(qobj, s.cod, s.dom.backend.factor_epi(s.map, q.map))
     if mor is None:
         return None
     return mor if po.mor_eq(po.compose_preord(q, mor), s) else None
@@ -181,7 +194,7 @@ def _punctured(obj: po.PreOrdObj):
 # --- relative kernel -------------------------------------------------------
 
 
-def _zker_witnesses(m, suite, candidate=None, probes_per_source=1):
+def _zker_witnesses(m, suite, candidate=None):
     true_kobj, true_k = po.z_kernel(m)
     kobj, k = candidate if candidate is not None else (true_kobj, true_k)
     stats = {}
@@ -211,20 +224,18 @@ def _zker_witnesses(m, suite, candidate=None, probes_per_source=1):
 
     root = DetRng.from_seed(suite.seed).child("zker-up").child(key)
     for probe in pr.probes_for(m.dom.universe):
-        stream = root.child(probe.name)
-        for j in range(probes_per_source):
-            t = pr.random_morphism(stream.child(j), probe.obj, m.dom)
-            _bump(stats, "sampled")
-            vanishes = po.is_z_trivial(po.compose_preord(t, m))
-            phi = _factor_through_mono(t, kobj, k)
-            if phi is po.UNDECIDED:
-                _bump(stats, "undecided")
-            elif vanishes and phi is None:
-                witnesses.append(f"{key}: probe {probe.name}#{j} cancels but does not factor")
-            elif not vanishes and phi is not None:
-                witnesses.append(f"{key}: probe {probe.name}#{j} factors without cancelling")
-            elif phi is not None:
-                _bump(stats, "factored")
+        t = pr.random_morphism(root.child(probe.name).child(0), probe.obj, m.dom)
+        _bump(stats, "sampled")
+        vanishes = po.is_z_trivial(po.compose_preord(t, m))
+        phi = _factor_through_mono(t, kobj, k)
+        if phi is po.UNDECIDED:
+            _bump(stats, "undecided")
+        elif vanishes and phi is None:
+            witnesses.append(f"{key}: probe {probe.name}#0 cancels but does not factor")
+        elif not vanishes and phi is not None:
+            witnesses.append(f"{key}: probe {probe.name}#0 factors without cancelling")
+        elif phi is not None:
+            _bump(stats, "factored")
     return witnesses, stats
 
 
@@ -247,7 +258,7 @@ def z_kernel_mutants(m: po.PreOrdMor):
 # --- relative cokernel -----------------------------------------------------
 
 
-def _zcok_witnesses(m, suite, candidate=None, probes_per_target=1):
+def _zcok_witnesses(m, suite, candidate=None):
     true_qobj, true_q = po.z_cokernel(m)
     qobj, q = candidate if candidate is not None else (true_qobj, true_q)
     stats = {}
@@ -264,18 +275,16 @@ def _zcok_witnesses(m, suite, candidate=None, probes_per_target=1):
 
     root = DetRng.from_seed(suite.seed).child("zcok-up").child(key)
     for probe in pr.probes_for(m.dom.universe):
-        stream = root.child(probe.name)
-        for j in range(probes_per_target):
-            s = pr.random_morphism(stream.child(j), m.cod, probe.obj)
-            _bump(stats, "sampled")
-            vanishes = po.is_z_trivial(po.compose_preord(m, s))
-            psi = _factor_through_epi(s, qobj, q)
-            if vanishes and psi is None:
-                witnesses.append(f"{key}: probe {probe.name}#{j} cancels but does not factor")
-            elif not vanishes and psi is not None:
-                witnesses.append(f"{key}: probe {probe.name}#{j} factors without cancelling")
-            elif psi is not None:
-                _bump(stats, "factored")
+        s = pr.random_morphism(root.child(probe.name).child(0), m.cod, probe.obj)
+        _bump(stats, "sampled")
+        vanishes = po.is_z_trivial(po.compose_preord(m, s))
+        psi = _factor_through_epi(s, qobj, q)
+        if vanishes and psi is None:
+            witnesses.append(f"{key}: probe {probe.name}#0 cancels but does not factor")
+        elif not vanishes and psi is not None:
+            witnesses.append(f"{key}: probe {probe.name}#0 factors without cancelling")
+        elif psi is not None:
+            _bump(stats, "factored")
     return witnesses, stats
 
 
@@ -321,6 +330,16 @@ def _same_cone(a: po.PreOrdObj, b: po.PreOrdObj) -> bool:
     )
 
 
+def _invertible_part(X: po.PreOrdObj) -> po.PreOrdObj:
+    """X's group preordered by the cone elements whose inverse lies in the
+    cone: the units found by membership queries, not by zero sums."""
+    be = X.backend
+    invertible = [
+        x for x in be.cone_elements(X.cone) if po.cone_contains(X, be.inverse(X.group, x))
+    ]
+    return po.make_object(X.group, invertible)
+
+
 def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
     """Torsion/torsion-free split: classification, exactness, vanishing."""
     stats = {}
@@ -335,6 +354,8 @@ def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
                 witnesses.append(f"{probe.name}: radical part fails the torsion test")
             if not po.classify_object(seq.torsion_free).torsion_free:
                 witnesses.append(f"{probe.name}: quotient part fails the torsion-free test")
+            if not _same_cone(seq.torsion, _invertible_part(probe.obj)):
+                witnesses.append(f"{probe.name}: torsion part differs from the invertible part")
             be = probe.obj.backend
             zk_obj, zk_mor = po.z_kernel(seq.eta)
             if not (_same_cone(zk_obj, seq.torsion) and be.map_eq(zk_mor.map, seq.kappa.map)):
@@ -384,12 +405,8 @@ def _factors_through_discrete_image(m: po.PreOrdMor) -> bool:
     images = [be.apply(m.map, x) for x in be.generators(m.dom.group)]
     image, incl = be.subgroup(m.cod.group, images)
     mid = po.discrete_object(image)
-    first = be.factor_mono(m.map, incl)
-    if first is None:
-        return False
-    try:
-        leg = po.make_morphism(m.dom, mid, first)
-    except ValidationError:
+    leg = _certified(m.dom, mid, be.factor_mono(m.map, incl))
+    if leg is None:
         return False
     rest = po.make_morphism(mid, m.cod, incl)
     return po.mor_eq(po.compose_preord(leg, rest), m)
@@ -493,7 +510,7 @@ def _pullback_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
     be = a.dom.backend
     joint = be.pair(square.to_dom.map, square.to_discrete.map)
     w = be.factor_mono(be.pair(a.map, b.map), joint)
-    mor = None if w is None else be.cone_check(a.dom, square.obj, w, _FACTOR_STATE_CAP)
+    mor = _certified(a.dom, square.obj, w, _FACTOR_STATE_CAP)
     if mor is None or mor is po.UNDECIDED:
         return mor
     if not po.mor_eq(po.compose_preord(mor, square.to_dom), a):
@@ -574,13 +591,8 @@ def pullback_mutant(m: po.PreOrdMor):
 def _pushout_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
     """The mediating morphism out of the square's corner, or None."""
     rows = list(a.map.matrix.to_rows()) + list(b.map.matrix.to_rows())
-    try:
-        wmap = ab.make_morphism(square.obj.group, a.cod.group, rows)
-    except ValidationError:
-        return None
-    try:
-        mor = po.make_morphism(square.obj, a.cod, wmap)
-    except ValidationError:
+    mor = _certified(square.obj, a.cod, rows)
+    if mor is None:
         return None
     if not po.mor_eq(po.compose_preord(square.from_cod, mor), a):
         return None
@@ -600,10 +612,8 @@ def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
     right = po.compose_preord(pi, square.from_stable)
     if not po.mor_eq(left, right):
         witnesses.append(f"{key}: square does not commute")
-    try:
-        po.make_morphism(square.from_cod.dom, square.obj, square.from_cod.map)
-        po.make_morphism(square.from_stable.dom, square.obj, square.from_stable.map)
-    except ValidationError:
+    legs = (square.from_cod, square.from_stable)
+    if any(_certified(leg.dom, square.obj, leg.map) is None for leg in legs):
         witnesses.append(f"{key}: an injection leg is not cone-preserving")
     if not po.is_isomorphism(square.comparison):
         witnesses.append(f"{key}: comparison with the relative cokernel is not an isomorphism")
@@ -658,6 +668,8 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
             _bump(stats, "monoids")
             if not po.classify_object(ses.units).torsion:
                 witnesses.append(f"{name}: unit part is not a group")
+            if not _same_cone(ses.units, _invertible_part(m)):
+                witnesses.append(f"{name}: unit part differs from the invertible part")
             if not po.classify_object(ses.reduced).torsion_free:
                 witnesses.append(f"{name}: reduced part has units")
             if not po.is_z_trivial(po.compose_preord(ses.kappa, ses.eta)):
@@ -717,11 +729,7 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
                 smaller = be.cone_without(units.cone, len(unit_gens) - 1)
                 units = po.PreOrdObj(X.group, smaller)
             _bump(stats, "probes")
-            # the units again, by membership queries instead of zero sums
-            invertible = [
-                x for x in be.cone_elements(X.cone) if po.cone_contains(X, be.inverse(X.group, x))
-            ]
-            if not _same_cone(units, po.make_object(X.group, invertible)):
+            if not _same_cone(units, _invertible_part(X)):
                 witnesses.append(f"{probe.name}: unit monoid differs from the invertible part")
             # functoriality on sampled composable pairs
             for other in probes[:3]:

@@ -76,6 +76,15 @@ class TestCompletion:
         assert po.cone_certificate(M235, (1,)) is not None
         assert contains(A3M, 4) and not contains(A3M, 1)
 
+    def test_completion_cone_certifies_nonnegative_elements_without_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("membership search ran")
+
+        monkeypatch.setattr(po, "nonneg_search", no_search)
+        completion = mp.completion_object(FULL)  # basis cone, relation (1, 1)
+        assert po.cone_certificate(completion, (5, 3)) == (5, 3)
+        assert po.cone_certificate(completion, [0, 7]) == (0, 7)
+
     def test_ore_condition(self):
         assert mp.ore_condition_failure(M235) is None
         assert mp.ore_condition_failure(A3M) is None

@@ -5,7 +5,7 @@ import pytest
 from preordgrp import fgabelian as ab
 from preordgrp import finitegroup as fg
 from preordgrp import preord as po
-from preordgrp.errors import ValidationError
+from preordgrp.errors import ResourceLimitError, ValidationError
 
 Z = ab.make_group(1, [])
 Z2 = ab.make_group(1, [[2]])
@@ -58,11 +58,10 @@ class TestMorphisms:
         with pytest.raises(ValidationError, match="universe"):
             po.make_morphism(ZN, S3A3, [[1]])
 
-    def test_bad_certificate_rejected(self):
-        with pytest.raises(ValidationError, match="certificate"):
-            po.make_morphism(ZN, ZN, [[3]], certs=[(2,)])
-        with pytest.raises(ValidationError, match="certificate"):
-            po.make_morphism(ZN, ZN, [[3]], certs=[(-3,)])
+    def test_budget_bounds_the_membership_search(self):
+        with pytest.raises(ResourceLimitError):
+            po.make_morphism(ZN, ZC2, [[6]], budget=0)
+        assert po.make_morphism(ZN, ZC2, [[6]]).certs == ((3,),)
 
     def test_compose_composes_certificates(self):
         f = po.make_morphism(ZN, ZC2, [[2]])

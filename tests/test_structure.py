@@ -65,3 +65,15 @@ def test_universe_dispatch_stays_within_its_cap():
         if DISPATCH.search(line)
     ]
     assert len(hits) <= DISPATCH_CAP, hits
+
+
+def test_verify_is_written_on_the_backends():
+    # verify reaches the universes only through preord's backends
+    modules = set()
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules.update(alias.name for alias in node.names)
+    leaves = {name.split(".")[-1] for name in modules}
+    assert not leaves & {"fgabelian", "finitegroup"}, modules

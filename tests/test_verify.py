@@ -150,12 +150,12 @@ class TestPairSamplesOnDemand:
 
 
 def zker_passes(m, candidate=None):
-    witnesses, _ = v._zker_witnesses(m, SUITE, candidate, probes_per_source=2)
+    witnesses, _ = v._zker_witnesses(m, SUITE, candidate)
     return not witnesses
 
 
 def zcok_passes(m, candidate=None):
-    witnesses, _ = v._zcok_witnesses(m, SUITE, candidate, probes_per_target=2)
+    witnesses, _ = v._zcok_witnesses(m, SUITE, candidate)
     return not witnesses
 
 
@@ -225,6 +225,11 @@ class TestSquares:
         assert witnesses
 
 
+# Replacements for po.touched_unit_generators calling every cone generator
+# a unit, or none.
+WRONG_UNITS = [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()]
+
+
 class TestCorruptedVerifiers:
     def test_pretorsion(self):
         assert v.verify_pretorsion_axioms(SUITE).passed
@@ -242,13 +247,21 @@ class TestCorruptedVerifiers:
         assert v.verify_p_torsion_theory_functor(SUITE).passed
         assert not v.verify_p_torsion_theory_functor(SUITE, "Z-group-cone").passed
 
-    @pytest.mark.parametrize(
-        "touched", [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()], ids=["all", "none"]
-    )
+    @pytest.mark.parametrize("touched", WRONG_UNITS, ids=["all", "none"])
     def test_p_functor_catches_wrong_unit_generators(self, monkeypatch, touched):
         # every cone generator called a unit, or none: the units are wrong
         monkeypatch.setattr(po, "touched_unit_generators", touched)
         assert not v.verify_p_torsion_theory_functor(v.default_suite(0)).passed
+
+    @pytest.mark.parametrize("touched", WRONG_UNITS, ids=["all", "none"])
+    @pytest.mark.parametrize(
+        "verifier",
+        [v.verify_pretorsion_axioms, v.verify_mon_torsion_theory],
+        ids=["pretorsion", "mon-torsion"],
+    )
+    def test_torsion_claims_catch_wrong_unit_generators(self, monkeypatch, verifier, touched):
+        monkeypatch.setattr(po, "touched_unit_generators", touched)
+        assert not verifier(v.default_suite(0)).passed
 
     def test_completion(self):
         assert v.verify_completion_theorem(SUITE).passed
