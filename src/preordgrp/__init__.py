@@ -8,8 +8,8 @@ full surface of each one:
     finitegroup  finite groups via Cayley tables
     preord       preordered groups: (co)kernels relative to discrete objects,
                  pretorsion decomposition, the adjoint triple, squares
-    monpos       positive-cone monoids, each carried by the object it is the
-                 cone of: their torsion theory, completions, the cone functor
+    monpos       the cone functor P and the group completion Σ; a monoid is
+                 the object it is the cone of
     probes       the fixed probe library and the seeded samplers
     verify       certificate-producing checks for every universal property;
                  p-functor checks the units P gives by membership queries

@@ -3,10 +3,12 @@
 Every construction command loads a workspace file, applies one
 construction to a named entity, and prints the result in the workspace
 format, re-printing the endpoint objects so the output re-loads on its
-own.  A monoid is the object it is the cone of, so `stable` prints its
-object unchanged.  `check` and `check-one` run the verification harness
-and print certificate reports; `p-functor` checks the units P gives
-against the cone elements that membership finds invertible.
+own.  The monoid commands call `monpos`, the cone functor P and the
+group completion Σ; a monoid is the object it is the cone of, so
+`stable` prints its object unchanged.  `check` and `check-one` run the
+verification harness and print certificate reports; `p-functor` checks
+the units P gives against the cone elements that membership finds
+invertible.
 
 The construction commands are one table, COMMANDS: each maps a command
 to the kind of entity it takes, its construction, and the names of the
@@ -38,13 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_in(low: int, high=float("inf")):
-    """An argparse type: an integer from low to high."""
+def _int_in(low: int, high=None):
+    """An argparse type: an integer from low to high, unbounded above by default."""
 
     def integer(text):
         value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"expected an integer in {low}..{high}, got {value}")
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {value}")
         return value
 
     return integer
@@ -186,9 +189,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,7 +207,7 @@ def random_mon_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po
     for _ in range(MORPHISM_TRIES):
         rows = [[rng.randint(0, 3) for _ in range(mgen)] for _ in range(ngen)]
         try:
-            return mp.make_mon_morphism(dom, cod, rows)
+            return po.make_morphism(source, target, rows)
         except ValidationError:
             continue
     return po.zero_preord(source, target)

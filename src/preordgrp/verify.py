@@ -26,9 +26,11 @@ probe suite and once more with a corrupted construction.
 The unit computations are checked against the cone elements whose inverse
 lies in the cone, found by membership queries: the torsion part in
 `pretorsion`, the unit monoid in `mon-torsion` and `p-functor`.  The
-latter takes each probe as the monoid it is the cone of, and also checks
-P on sampled composites and on the special sequences of cone-containing
-subgroups.
+monoid claims take only P and Σ from `monpos`.  `p-functor` takes each
+probe as the monoid it is the cone of, and also checks P on sampled
+composites and on the special sequences (H, P) -> (G, P) ->> (G/H, 0) of
+cone-containing subgroups.  `completion` fails a finite cone that lacks
+an inverse of one of its elements before building its completion.
 """
 
 import hashlib
@@ -664,13 +666,13 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
             if corrupt is not None and name == corrupt:
                 # corrupted construction: pretend every element is a unit
                 whole = po.identity_preord(mp.completion_object(m))
-                ses = mp.MonSes(m, whole, m, ses.reduced, ses.eta)
+                ses = po.CanonicalSeq(m, whole, m, ses.torsion_free, ses.eta)
             _bump(stats, "monoids")
-            if not po.classify_object(ses.units).torsion:
+            if not po.classify_object(ses.torsion).torsion:
                 witnesses.append(f"{name}: unit part is not a group")
-            if not _same_cone(ses.units, _invertible_part(m)):
+            if not _same_cone(ses.torsion, _invertible_part(m)):
                 witnesses.append(f"{name}: unit part differs from the invertible part")
-            if not po.classify_object(ses.reduced).torsion_free:
+            if not po.classify_object(ses.torsion_free).torsion_free:
                 witnesses.append(f"{name}: reduced part has units")
             if not po.is_z_trivial(po.compose_preord(ses.kappa, ses.eta)):
                 witnesses.append(f"{name}: unit inclusion does not vanish in the quotient")
@@ -679,8 +681,8 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
                 group_pool.append((name, m))
             if cls.torsion_free:
                 reduced_pool.append((name, m))
-            units_obj = mp.completion_object(ses.units)
-            reduced_obj = mp.completion_object(ses.reduced)
+            units_obj = mp.completion_object(ses.torsion)
+            reduced_obj = mp.completion_object(ses.torsion_free)
             for tname, t in monoids:
                 h = pr.random_mon_morphism(root.child(f"{tname}->{name}"), t, m)
                 _bump(stats, "kernel-probes")
@@ -712,6 +714,22 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
 # --- the cone functor is a torsion theory functor --------------------------
 
 
+def _special_ses(obj: po.PreOrdObj, subgroup):
+    """(H, P) -> (G, P) ->> (G/H, 0) for a subgroup H containing the cone;
+    returns (inclusion, quotient, projection).
+
+    The cone functor collapses the right leg, so the sequence P maps to
+    has an isomorphic left leg and a trivial right term.
+    """
+    be = obj.backend
+    sub, incl_map = be.subgroup(obj.group, subgroup)
+    cone = be.pull_cone(obj.cone, incl_map)
+    if cone is None:
+        raise ValidationError("subgroup does not contain the cone")
+    incl = po.PreOrdMor(po.PreOrdObj(sub, cone), obj, incl_map, be.unit_certs(obj.cone))
+    return (incl, *po.cokernel(incl))
+
+
 def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certificate:
     """The cone functor P is a torsion-theory functor (see the module docstring)."""
     stats = {}
@@ -741,13 +759,13 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
                 if not po.mor_eq(lhs, rhs):
                     witnesses.append(f"{probe.name}->{other.name}: cone functor breaks composition")
             for hname, subgroup in be.subgroup_candidates(X):
-                ses2 = mp.special_ses(X, subgroup)
+                incl, quot, proj = _special_ses(X, subgroup)
                 _bump(stats, "subgroup-sequences")
-                if not po.is_isomorphism(mp.positive_cone_mor(ses2.incl)):
+                if not po.is_isomorphism(mp.positive_cone_mor(incl)):
                     witnesses.append(f"{probe.name}/{hname}: cone of the inclusion is not invertible")
-                if not po.is_z_trivial(mp.positive_cone_mor(ses2.proj)):
+                if not po.is_z_trivial(mp.positive_cone_mor(proj)):
                     witnesses.append(f"{probe.name}/{hname}: cone of the projection is not zero")
-                if not mp.is_trivial_monoid(mp.positive_cone(ses2.quot)):
+                if not po.is_z_trivial(po.identity_preord(mp.positive_cone(quot))):
                     witnesses.append(f"{probe.name}/{hname}: quotient cone is not trivial")
     return _certificate("p-functor", stats, witnesses)
 
@@ -763,8 +781,11 @@ def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
         for probe in pr.probes_for(universe):
             name, m = probe.name, probe.obj
             _bump(stats, "monoids")
-            if mp.ore_condition_failure(m) is not None:
+            # a finite cone must be a subgroup, closed under inverses; then
+            # x = -a, y = -b are common multiples of any a and b in it
+            if m.universe == po.FINITE and not _same_cone(_invertible_part(m), m):
                 witnesses.append(f"{name}: cone fails the common-multiple condition")
+                continue
             cmpr = mp.comparison_morphism(m)
             if corrupt is not None and name == corrupt:
                 # corrupted construction: embed through the zero morphism

@@ -168,22 +168,24 @@ class TestExitCodes:
         assert cli.main(["classify", workspace_file, "s3", "--universe-cap", cap]) == 0
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expected",
         [
-            ["check-one", "intsolve", "--samples", "-3"],
-            ["check-one", "zker-up-abelian", "--samples", "0"],
-            ["check", "--samples", "0"],
-            ["classify", "WS", "s3", "--universe-cap", "0"],
-            ["classify", "WS", "s3", "--universe-cap", "513"],
+            (["check-one", "intsolve", "--samples", "-3"], "expected an integer >= 1, got -3"),
+            (["check-one", "zker-up-abelian", "--samples", "0"], "expected an integer >= 1, got 0"),
+            (["check", "--samples", "0"], "expected an integer >= 1, got 0"),
+            (["classify", "WS", "s3", "--universe-cap", "0"], "expected an integer in 1..512, got 0"),
+            (["classify", "WS", "s3", "--universe-cap", "513"], "expected an integer in 1..512, got 513"),
         ],
         ids=["samples-negative", "samples-zero-sweep", "check-samples-zero", "cap-zero", "cap-above"],
     )
-    def test_out_of_range_flags_are_usage_errors(self, workspace_file, capsys, argv):
+    def test_out_of_range_flags_are_usage_errors(self, workspace_file, capsys, argv, expected):
         argv = [workspace_file if a == "WS" else a for a in argv]
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 1
-        assert "error: argument" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert "error: argument" in err_text
+        assert expected in err_text
 
     def test_pushout_checks_unsupported_in_finite_universe(self, capsys):
         assert cli.main(["check-one", "gjm-pushout-finite"]) == 2

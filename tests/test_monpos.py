@@ -1,4 +1,5 @@
-"""Cone monoids: completions, units, torsion sequence, the cone functor."""
+"""The cone functor P and the group completion Σ: completions, units,
+torsion sequence."""
 
 import pytest
 
@@ -19,6 +20,11 @@ def monoid(group, gens):
     return mp.positive_cone(po.make_object(group, gens))
 
 
+def mon_morphism(dom, cod, rows):
+    """A monoid morphism: a preord morphism between completion objects."""
+    return po.make_morphism(mp.completion_object(dom), mp.completion_object(cod), rows)
+
+
 def contains(m, x):
     return po.cone_contains(m, x)
 
@@ -33,12 +39,12 @@ def is_reduced(m):
 
 def lift_to_units(h, ses):
     """Lift h: T -> M through the unit inclusion, or None."""
-    return v._factor_through_mono(h, mp.completion_object(ses.units), ses.kappa)
+    return v._factor_through_mono(h, mp.completion_object(ses.torsion), ses.kappa)
 
 
 def descend_to_reduced(h, ses):
     """Descend h: M -> T through the reduced quotient, or None."""
-    return v._factor_through_epi(h, mp.completion_object(ses.reduced), ses.eta)
+    return v._factor_through_epi(h, mp.completion_object(ses.torsion_free), ses.eta)
 
 
 NAT = monoid(Z, [[1]])
@@ -85,10 +91,6 @@ class TestCompletion:
         assert po.cone_certificate(completion, (5, 3)) == (5, 3)
         assert po.cone_certificate(completion, [0, 7]) == (0, 7)
 
-    def test_ore_condition(self):
-        assert mp.ore_condition_failure(M235) is None
-        assert mp.ore_condition_failure(A3M) is None
-
 
 class TestTorsionTheory:
     def test_group_monoid_despite_mixed_signs(self):
@@ -116,8 +118,8 @@ class TestTorsionTheory:
     def test_ses_composite_vanishes(self):
         for m in (NAT, M235, HALF, A3M):
             ses = mp.torsion_ses(m)
-            assert is_group_monoid(ses.units)
-            assert is_reduced(ses.reduced)
+            assert is_group_monoid(ses.torsion)
+            assert is_reduced(ses.torsion_free)
             assert po.is_z_trivial(po.compose_preord(ses.kappa, ses.eta))
 
     def test_finite_monoids_are_groups(self):
@@ -125,21 +127,21 @@ class TestTorsionTheory:
         u, kappa = mp.units(A3M)
         assert u == A3M
         red, _ = mp.quotient_by_units(A3M)
-        assert mp.is_trivial_monoid(red)
+        assert po.is_z_trivial(po.identity_preord(red))
 
 
 class TestFactorizations:
     def test_kernel_factorization(self):
         ses = mp.torsion_ses(M235)
         T = monoid(Z, [[1], [-1]])
-        h = mp.make_mon_morphism(T, M235, [[1, 1, 1], [4, 4, 4]])
+        h = mon_morphism(T, M235, [[1, 1, 1], [4, 4, 4]])
         fac = lift_to_units(h, ses)
         assert fac is not None
         assert po.mor_eq(po.compose_preord(fac, ses.kappa), h)
 
     def test_kernel_factorization_fails_outside_units(self):
         ses = mp.torsion_ses(NAT)
-        h = mp.make_mon_morphism(NAT, NAT, [[1]])
+        h = mon_morphism(NAT, NAT, [[1]])
         assert lift_to_units(h, ses) is None
 
     def test_cokernel_factorization(self):
@@ -151,25 +153,25 @@ class TestFactorizations:
 
     def test_cokernel_factorization_fails_when_units_survive(self):
         ses = mp.torsion_ses(M235)
-        h = mp.make_mon_morphism(M235, M235, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        h = mon_morphism(M235, M235, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert descend_to_reduced(h, ses) is None
 
     def test_group_to_reduced_must_be_zero(self):
         with pytest.raises(ValidationError):
-            mp.make_mon_morphism(FULL, NAT, [[1], [1]])
-        h = mp.make_mon_morphism(FULL, NAT, [[0], [0]])
+            mon_morphism(FULL, NAT, [[1], [1]])
+        h = mon_morphism(FULL, NAT, [[0], [0]])
         assert po.is_z_trivial(h)
 
 
 class TestMonoidMorphisms:
     def test_negative_row_inside_the_monoid_is_accepted(self):
         # -1 is FULL's second generator, so the search certifies the row
-        h = mp.make_mon_morphism(NAT, FULL, [[-1, 0]])
+        h = mon_morphism(NAT, FULL, [[-1, 0]])
         assert h.certs == ((0, 1),)
 
     def test_negative_row_outside_the_monoid_is_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
-            mp.make_mon_morphism(NAT, NAT, [[-1]])
+            mon_morphism(NAT, NAT, [[-1]])
 
     @pytest.mark.parametrize("universe", [po.ABELIAN, po.FINITE])
     def test_morphisms_run_between_completion_objects(self, universe):
@@ -179,8 +181,8 @@ class TestMonoidMorphisms:
             ses = mp.torsion_ses(m)
             identity = po.identity_preord(m)
             arrows = [
-                (ses.kappa, ses.units, m),
-                (ses.eta, m, ses.reduced),
+                (ses.kappa, ses.torsion, m),
+                (ses.eta, m, ses.torsion_free),
                 (mp.positive_cone_mor(identity), m, m),
             ]
             for tname, t in entries:
@@ -228,29 +230,3 @@ class TestComparisonAndConsistency:
     def test_fhat_is_isomorphism(self):
         for m in (NAT, EVEN, M235, HALF, A3M):
             assert po.is_isomorphism(mp.fhat_consistency(m))
-
-
-class TestSpecialSes:
-    def test_even_cone_inside_even_subgroup(self):
-        zc2 = po.make_object(Z, [[2]])
-        s = mp.special_ses(zc2, [[2]])
-        assert s.sub.group == ab.make_group(1, [])
-        assert s.sub.cone.to_rows() == ((1,),)
-        assert s.quot.group == ab.make_group(1, [[2]])
-        assert po.is_isomorphism(mp.positive_cone_mor(s.incl))
-        assert po.is_z_trivial(mp.positive_cone_mor(s.proj))
-        assert mp.is_trivial_monoid(mp.positive_cone(s.quot))
-
-    def test_subgroup_must_contain_cone(self):
-        with pytest.raises(ValidationError, match="contain"):
-            mp.special_ses(po.make_object(Z, [[1]]), [[2]])
-        with pytest.raises(ValidationError, match="contain"):
-            mp.special_ses(po.make_object(S3, [3]), [])
-
-    def test_finite(self):
-        s3a3 = po.make_object(S3, [3])
-        s = mp.special_ses(s3a3, [3])
-        assert s.sub.group.order == 3
-        assert s.quot.group.order == 2
-        assert po.is_isomorphism(mp.positive_cone_mor(s.incl))
-        assert po.is_z_trivial(mp.positive_cone_mor(s.proj))

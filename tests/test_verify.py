@@ -4,6 +4,7 @@ import pytest
 
 from preordgrp import fgabelian as ab
 from preordgrp import finitegroup as fg
+from preordgrp import monpos as mp
 from preordgrp import preord as po
 from preordgrp import probes as pr
 from preordgrp import verify as v
@@ -266,6 +267,45 @@ class TestCorruptedVerifiers:
     def test_completion(self):
         assert v.verify_completion_theorem(SUITE).passed
         assert not v.verify_completion_theorem(SUITE, "Z-natural").passed
+
+    @pytest.mark.parametrize("cone", [{0, 1}, {0, 1, 2}, {0, 2, 3}], ids=["0-1", "0-1-2", "0-2-3"])
+    def test_completion_fails_on_a_cone_without_inverses(self, monkeypatch, cone):
+        # these subsets of C4 are not closed: the claim must fail, not raise
+        unclosed = pr.Probe("C4-unclosed", po.PreOrdObj(fg.cyclic_group(4), frozenset(cone)))
+        probes = {po.ABELIAN: (), po.FINITE: (unclosed,)}
+        monkeypatch.setattr(pr, "probes_for", probes.__getitem__)
+        cert = v.verify_completion_theorem(SUITE)
+        assert not cert.passed
+        assert cert.witnesses == ("C4-unclosed: cone fails the common-multiple condition",)
+        assert dict(cert.stats) == {"monoids": 1}
+
+
+class TestSpecialSes:
+    """(H, P) -> (G, P) ->> (G/H, 0): P inverts the inclusion and kills the
+    projection."""
+
+    def test_even_cone_inside_even_subgroup(self):
+        zc2 = po.make_object(Z, [[2]])
+        incl, quot, proj = v._special_ses(zc2, [[2]])
+        assert incl.dom.group == ab.make_group(1, [])
+        assert incl.dom.cone.to_rows() == ((1,),)
+        assert quot.group == ab.make_group(1, [[2]])
+        assert po.is_isomorphism(mp.positive_cone_mor(incl))
+        assert po.is_z_trivial(mp.positive_cone_mor(proj))
+        assert po.is_z_trivial(po.identity_preord(mp.positive_cone(quot)))
+
+    def test_subgroup_must_contain_cone(self):
+        with pytest.raises(ValidationError, match="contain"):
+            v._special_ses(po.make_object(Z, [[1]]), [[2]])
+        with pytest.raises(ValidationError, match="contain"):
+            v._special_ses(po.make_object(S3, [3]), [])
+
+    def test_finite(self):
+        incl, quot, proj = v._special_ses(S3A3, [3])
+        assert incl.dom.group.order == 3
+        assert quot.group.order == 2
+        assert po.is_isomorphism(mp.positive_cone_mor(incl))
+        assert po.is_z_trivial(mp.positive_cone_mor(proj))
 
 
 class TestIntegerSolvers:
