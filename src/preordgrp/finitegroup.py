@@ -338,16 +338,7 @@ def quotient_by_normal(g: FiniteGroup, nset):
     return quot, proj
 
 
-@dataclass(frozen=True)
-class FinProduct:
-    group: FiniteGroup
-    proj_left: FinMorphism
-    proj_right: FinMorphism
-    inj_left: FinMorphism
-    inj_right: FinMorphism
-
-
-def product_group(g: FiniteGroup, h: FiniteGroup) -> FinProduct:
+def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with pair (a, b) at index a * h.order + b."""
     n = g.order * h.order
     if n > ORDER_CAP:
@@ -360,10 +351,5 @@ def product_group(g: FiniteGroup, h: FiniteGroup) -> FinProduct:
         for c in range(g.order)
         for d in range(m)
     )
-    prod = FiniteGroup(n, table)
-    proj_l = FinMorphism(prod, g, tuple(i // m for i in range(n)))
-    proj_r = FinMorphism(prod, h, tuple(i % m for i in range(n)))
-    inj_l = FinMorphism(g, prod, tuple(a * m for a in range(g.order)))
-    inj_r = FinMorphism(h, prod, tuple(range(m)))
-    return FinProduct(prod, proj_l, proj_r, inj_l, inj_r)
+    return FiniteGroup(n, table)
 

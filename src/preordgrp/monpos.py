@@ -8,16 +8,17 @@ preordered by the monoid itself: the completion object.  A monoid
 morphism M -> N is a preord morphism between the completion objects of
 M and N; such a cone generates its group, so z-trivial means zero.
 
-P sends a morphism to the map between the completions that its
-certificate rows give.  The torsion sequence of a monoid is preord's
-canonical sequence with P applied to its legs.  The comparison morphism
-embeds the completion back into the ambient group, and the consistency
-map identifies P of that completion object with the monoid it came from.
+P sends a morphism to the map between the completions whose rows are the
+membership certificates of its cone generators' images.  The torsion
+sequence of a monoid is preord's canonical sequence with P applied to its
+legs.  The comparison morphism embeds the completion back into the
+ambient group, and the consistency map identifies P of that completion
+object with the monoid it came from.
 
 The universes part only where they compute different things: finite
 cones are subgroups, so every finite monoid is all units, its reduced
 quotient is trivial and any homomorphism of completions preserves it,
-while abelian monoid morphisms carry generator certificates.
+while abelian P asks the membership oracle for its certificates.
 """
 
 from functools import lru_cache
@@ -75,17 +76,21 @@ def torsion_ses(m: po.PreOrdObj) -> po.CanonicalSeq:
 def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
     """P on morphisms: the restriction of f to the cones.
 
-    Abelian morphisms carry membership certificates for their generator
-    images; those certificate rows are exactly the matrix of the map
-    between the completions, on generator coordinates.  Over the
-    completion's basis cone a nonnegative row is its own certificate.
+    Abelian: the membership certificate of each domain cone generator's
+    image, nonnegative coefficients over the codomain cone generators, is
+    the row of the map between the completions, on generator coordinates.
+    Raises ValidationError when an image lies outside the codomain cone.
     """
     source, target = completion_object(f.dom), completion_object(f.cod)
     if f.dom.universe == po.ABELIAN:
-        certs = f.certs
-        if certs is None:
-            certs = po.make_morphism(f.dom, f.cod, f.map).certs
-        return po.make_morphism(source, target, [list(c) for c in certs])
+        be = f.dom.backend
+        rows = []
+        for x in be.cone_elements(f.dom.cone):
+            y = be.apply(f.map, x)
+            rows.append(po.cone_certificate(f.cod, y))
+            if rows[-1] is None:
+                raise po.ValidationError(f"cone element {x} maps to {y}, outside the cone", witness=x)
+        return po.make_morphism(source, target, rows)
     gd, incl_d = group_completion(f.dom)
     gc, incl_c = group_completion(f.cod)
     index_c = {a: i for i, a in enumerate(incl_c.mapping)}
@@ -96,8 +101,7 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
 def comparison_morphism(m: po.PreOrdObj) -> po.PreOrdMor:
     """(completion, M) -> (ambient, M), always a monomorphism."""
     _, embed = group_completion(m)
-    certs = m.backend.unit_certs(m.cone)
-    return po.PreOrdMor(completion_object(m), m, embed, certs)
+    return po.PreOrdMor(completion_object(m), m, embed)
 
 
 def fhat_consistency(m: po.PreOrdObj) -> po.PreOrdMor:

@@ -32,24 +32,22 @@ discrete and stable-quotient endofunctors with their counit and unit, and
 the pullback / pushout squares those (co)units induce, each packaged with
 the comparison morphism onto the matching relative construction.
 
-Abelian cone membership proofs travel with morphisms as certificate rows
-(nonnegative coefficients over the codomain cone generators), so composing
-morphisms never re-runs the membership search.  Finite morphisms carry no
-certificates.
-
+A morphism is its endpoints and its underlying map, nothing more.
 make_morphism is the one check that a map carries cone into cone; samplers
-and factorization checks pass it a state budget.  Its abelian certificates
-come from cone_certificate: over a basis cone (the identity matrix of the
-group's rank, as on every completion object) a nonnegative x is its own
-certificate, and every other question goes to one oracle, cone_membership,
-behind one bounded LRU cache keyed on (gens, relations, x).  The cache is
-budget-exact, answering as the uncached search with the same state budget
-would: a decided answer is served only to budgets at least the number of
-states its search visited, UNDECIDED only to budgets no larger than the one
-that ran out.
+and factorization checks pass it a state budget, and the constructions
+build morphisms that preserve the cone by construction.  Abelian
+membership goes to cone_certificate, which also returns the proof the cone
+functor reads: over a basis cone (the identity matrix of the group's rank,
+as on every completion object) a nonnegative x is its own certificate, and
+every other question goes to one oracle, cone_membership, behind one
+bounded LRU cache keyed on (gens, relations, x).  The cache is budget-exact,
+answering as the uncached search with the same state budget would: a
+decided answer is served only to budgets at least the number of states its
+search visited, UNDECIDED only to budgets no larger than the one that ran
+out.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
@@ -65,7 +63,6 @@ from .intmat import (
     in_rowspan_reduced,
     monoid_zero_solutions,
     nonneg_search,
-    row_times_matrix,
     vec_neg,
 )
 
@@ -123,11 +120,7 @@ def _compatible_images(dom: fg.FiniteGroup, cod: fg.FiniteGroup) -> tuple:
 
 
 class _Backend:
-    """Primitives shared by both universes' backends.
-
-    The certificate primitives default to no certificates, as in the
-    finite universe, where cone membership is a set lookup.
-    """
+    """Primitives shared by both universes' backends."""
 
     def make_map(self, dom, cod, mapping):
         """An underlying map dom -> cod, from raw data or an existing map."""
@@ -136,15 +129,6 @@ class _Backend:
                 raise ValidationError("underlying morphism endpoints do not match")
             return mapping
         return self.build_map(dom, cod, mapping)
-
-    def certs(self, rows):
-        return None
-
-    def unit_certs(self, cone):
-        return None
-
-    def zero_certs(self, dom_cone, cod_cone):
-        return None
 
 
 class _AbelianBackend(_Backend):
@@ -220,28 +204,16 @@ class _AbelianBackend(_Backend):
 
     def killed_cone(self, f):
         """Minimal nonnegative combinations of the cone generators that f
-        kills, in Hilbert-basis order, with those combinations as certs."""
+        kills, in Hilbert-basis order."""
         sols = _zero_solutions(f.dom.cone.mul(f.map.matrix), f.cod.group.reduced_relations)
-        rows = [row_times_matrix(c, f.dom.cone) for c in sols]
-        return IntMatrix.from_rows(rows, cols=f.dom.group.rank), tuple(sols)
+        return IntMatrix.from_rows(sols, cols=f.dom.cone.rows).mul(f.dom.cone)
 
     def unit_cone(self, obj):
-        touched = touched_unit_generators(obj)
-        rows = [obj.cone.row(i) for i in touched]
-        certs = tuple(ab._unit_row(obj.cone.rows, i) for i in touched)
-        return IntMatrix.from_rows(rows, cols=obj.group.rank), certs
+        rows = [obj.cone.row(i) for i in touched_unit_generators(obj)]
+        return IntMatrix.from_rows(rows, cols=obj.group.rank)
 
     def contains(self, obj, x, budget=None):
         return cone_certificate(obj, x, budget)
-
-    def certs(self, rows):
-        return tuple(rows)
-
-    def unit_certs(self, cone):
-        return tuple(ab._unit_row(cone.rows, i) for i in range(cone.rows))
-
-    def zero_certs(self, dom_cone, cod_cone):
-        return ((0,) * cod_cone.rows,) * dom_cone.rows
 
     def normal_closure(self, group, elements):
         return list(elements)
@@ -398,12 +370,12 @@ class _FiniteBackend(_Backend):
         return frozenset(i for i, a in enumerate(incl.mapping) if a in cone)
 
     def killed_cone(self, f):
-        return frozenset(p for p in f.dom.cone if f.map.mapping[p] == 0), None
+        return frozenset(p for p in f.dom.cone if f.map.mapping[p] == 0)
 
     def unit_cone(self, obj):
         # a closed subset of a finite group is a subgroup: every cone
         # element is a unit
-        return unit_elements(obj), None
+        return unit_elements(obj)
 
     def contains(self, obj, x, budget=None):
         return True if x in obj.cone else None
@@ -540,7 +512,6 @@ class PreOrdMor:
     dom: PreOrdObj
     cod: PreOrdObj
     map: object  # AbMorphism | FinMorphism
-    certs: tuple | None = field(default=None, compare=False, repr=False)
 
     def __repr__(self):
         return f"PreOrdMor({self.dom!r} -> {self.cod!r})"
@@ -614,14 +585,12 @@ def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, budget=None) -> PreOr
 
     Raises ValidationError at the first image outside the cone, and
     ResourceLimitError at one whose search needs more than `budget` states
-    (HILBERT_STATE_CAP without a budget).  Abelian morphisms carry each
-    image's certificate.
+    (HILBERT_STATE_CAP without a budget).
     """
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     be = dom.backend
     m = be.make_map(dom.group, cod.group, mapping)
-    certs = []
     for x in be.cone_elements(dom.cone):
         y = be.apply(m, x)
         cert = be.contains(cod, y, budget)
@@ -629,31 +598,22 @@ def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, budget=None) -> PreOr
             raise ValidationError(f"cone element {x} maps to {y}, outside the cone", witness=x)
         if cert is UNDECIDED:
             raise ResourceLimitError(f"membership of {y} needs more than {budget} states")
-        certs.append(cert)
-    return PreOrdMor(dom, cod, m, be.certs(certs))
+    return PreOrdMor(dom, cod, m)
 
 
 def identity_preord(obj: PreOrdObj) -> PreOrdMor:
-    be = obj.backend
-    return PreOrdMor(obj, obj, be.identity(obj.group), be.unit_certs(obj.cone))
+    return PreOrdMor(obj, obj, obj.backend.identity(obj.group))
 
 
 def zero_preord(dom: PreOrdObj, cod: PreOrdObj) -> PreOrdMor:
-    be = dom.backend
-    return PreOrdMor(
-        dom, cod, be.zero(dom.group, cod.group), be.zero_certs(dom.cone, cod.cone)
-    )
+    return PreOrdMor(dom, cod, dom.backend.zero(dom.group, cod.group))
 
 
 def compose_preord(f: PreOrdMor, g: PreOrdMor) -> PreOrdMor:
-    """f then g; certificates compose by matrix product when both carry them."""
+    """f then g."""
     if f.cod != g.dom:
         raise ValidationError("middle objects differ in composition")
-    certs = None
-    if f.certs is not None and g.certs is not None:
-        gmat = IntMatrix.from_rows(list(g.certs), cols=g.cod.cone.rows)
-        certs = tuple(row_times_matrix(c, gmat) for c in f.certs)
-    return PreOrdMor(f.dom, g.cod, f.dom.backend.compose(f.map, g.map), certs)
+    return PreOrdMor(f.dom, g.cod, f.dom.backend.compose(f.map, g.map))
 
 
 def mor_eq(f: PreOrdMor, g: PreOrdMor) -> bool:
@@ -687,9 +647,8 @@ def kernel(f: PreOrdMor):
     """(K, K meet P) with its inclusion; returns (object, morphism into dom)."""
     be = f.dom.backend
     kgroup, incl = be.kernel(f.map)
-    zcone, certs = be.killed_cone(f)
-    kobj = PreOrdObj(kgroup, be.pull_cone(zcone, incl))
-    return kobj, PreOrdMor(kobj, f.dom, incl, certs)
+    kobj = PreOrdObj(kgroup, be.pull_cone(be.killed_cone(f), incl))
+    return kobj, PreOrdMor(kobj, f.dom, incl)
 
 
 def _quotient(obj: PreOrdObj, elements):
@@ -698,7 +657,7 @@ def _quotient(obj: PreOrdObj, elements):
     be = obj.backend
     group, proj = be.quotient(obj.group, elements)
     qobj = PreOrdObj(group, be.push_cone(obj.cone, proj))
-    return qobj, PreOrdMor(obj, qobj, proj, be.unit_certs(obj.cone))
+    return qobj, PreOrdMor(obj, qobj, proj)
 
 
 def cokernel(f: PreOrdMor):
@@ -724,9 +683,8 @@ def z_kernel(f: PreOrdMor):
     map to zero, in the order the Hilbert basis lists them.
     """
     be = f.dom.backend
-    zcone, certs = be.killed_cone(f)
-    zobj = PreOrdObj(f.dom.group, zcone)
-    return zobj, PreOrdMor(zobj, f.dom, be.identity(f.dom.group), certs)
+    zobj = PreOrdObj(f.dom.group, be.killed_cone(f))
+    return zobj, PreOrdMor(zobj, f.dom, be.identity(f.dom.group))
 
 
 def z_cokernel(f: PreOrdMor):
@@ -758,9 +716,8 @@ def unit_elements(obj: PreOrdObj) -> frozenset:
 def torsion_part(obj: PreOrdObj):
     """(G, U(P)) with its inclusion into (G, P), the identity on the group."""
     be = obj.backend
-    ucone, certs = be.unit_cone(obj)
-    tobj = PreOrdObj(obj.group, ucone)
-    return tobj, PreOrdMor(tobj, obj, be.identity(obj.group), certs)
+    tobj = PreOrdObj(obj.group, be.unit_cone(obj))
+    return tobj, PreOrdMor(tobj, obj, be.identity(obj.group))
 
 
 @dataclass(frozen=True)
@@ -798,15 +755,12 @@ def functor_D(obj: PreOrdObj) -> PreOrdObj:
 
 
 def functor_D_mor(f: PreOrdMor) -> PreOrdMor:
-    ddom, dcod = functor_D(f.dom), functor_D(f.cod)
-    return PreOrdMor(ddom, dcod, f.map, f.dom.backend.zero_certs(ddom.cone, dcod.cone))
+    return PreOrdMor(functor_D(f.dom), functor_D(f.cod), f.map)
 
 
 def counit_iota(obj: PreOrdObj) -> PreOrdMor:
     """D(X) -> X, the identity on the underlying group."""
-    be = obj.backend
-    dx = functor_D(obj)
-    return PreOrdMor(dx, obj, be.identity(obj.group), be.zero_certs(dx.cone, obj.cone))
+    return PreOrdMor(functor_D(obj), obj, obj.backend.identity(obj.group))
 
 
 def functor_C(obj: PreOrdObj):
@@ -816,7 +770,7 @@ def functor_C(obj: PreOrdObj):
     be = obj.backend
     qgroup, proj = be.quotient(obj.group, be.cone_elements(obj.cone))
     cobj = discrete_object(qgroup)
-    return cobj, PreOrdMor(obj, cobj, proj, be.zero_certs(obj.cone, cobj.cone))
+    return cobj, PreOrdMor(obj, cobj, proj)
 
 
 def functor_C_mor(f: PreOrdMor) -> PreOrdMor:
@@ -826,7 +780,7 @@ def functor_C_mor(f: PreOrdMor) -> PreOrdMor:
     psi = be.factor_epi(be.compose(f.map, pic.map), pid.map)
     if psi is None:
         raise ValidationError("stable quotient does not receive the morphism")
-    return PreOrdMor(cdom, ccod, psi, be.zero_certs(cdom.cone, ccod.cone))
+    return PreOrdMor(cdom, ccod, psi)
 
 
 @dataclass(frozen=True)
@@ -845,7 +799,7 @@ def pullback_with_counit(f: PreOrdMor) -> PullbackSquare:
     """
     X, Y = f.dom, f.cod
     dy = functor_D(Y)
-    zobj, zmor = z_kernel(f)
+    zobj, _ = z_kernel(f)
     if X.universe == FINITE:
         # graph of f inside X x Y, presented on its first coordinate
         ident = fg.fin_identity(X.group)
@@ -858,11 +812,11 @@ def pullback_with_counit(f: PreOrdMor) -> PullbackSquare:
     pbgroup, incl = ab.kernel(diff)
     pbcone = be.pull_cone(_hcat(zobj.cone, IntMatrix.zeros(zobj.cone.rows, ry)), incl)
     pbobj = PreOrdObj(pbgroup, pbcone)
-    to_dom = PreOrdMor(pbobj, X, ab.compose(incl, ds.proj_left), zmor.certs)
-    to_disc = PreOrdMor(pbobj, dy, ab.compose(incl, ds.proj_right), be.zero_certs(pbcone, dy.cone))
+    to_dom = PreOrdMor(pbobj, X, ab.compose(incl, ds.proj_left))
+    to_disc = PreOrdMor(pbobj, dy, ab.compose(incl, ds.proj_right))
     graph = ab.make_morphism(X.group, ds.group, _hcat(IntMatrix.identity(rx), f.map.matrix))
     cmp_map = ab.factor_through_injection(graph, incl)
-    comparison = PreOrdMor(zobj, pbobj, cmp_map, be.unit_certs(pbcone))
+    comparison = PreOrdMor(zobj, pbobj, cmp_map)
     return PullbackSquare(pbobj, to_dom, to_disc, comparison)
 
 
@@ -887,10 +841,9 @@ def pushout_with_unit(f: PreOrdMor) -> PushoutSquare:
     in1 = ab.AbMorphism(Y.group, pogroup, ds.inj_left.matrix)
     in2 = ab.AbMorphism(cx.group, pogroup, ds.inj_right.matrix)
     poobj = PreOrdObj(pogroup, _hcat(Y.cone, IntMatrix.zeros(Y.cone.rows, rc)))
-    units = X.backend.unit_certs(Y.cone)
-    from_cod = PreOrdMor(Y, poobj, in1, units)
-    from_stable = PreOrdMor(cx, poobj, in2, ())
+    from_cod = PreOrdMor(Y, poobj, in1)
+    from_stable = PreOrdMor(cx, poobj, in2)
     zobj, _ = z_cokernel(f)
     cmp_map = ab.make_morphism(zobj.group, pogroup, in1.matrix.to_rows())
-    comparison = PreOrdMor(zobj, poobj, cmp_map, units)
+    comparison = PreOrdMor(zobj, poobj, cmp_map)
     return PushoutSquare(poobj, from_cod, from_stable, comparison)

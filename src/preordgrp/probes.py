@@ -111,9 +111,9 @@ def finite_catalog() -> tuple[tuple[str, fg.FiniteGroup], ...]:
     """Named groups of order at most 24 the finite samplers draw from."""
     entries = [(f"C{n}", fg.cyclic_group(n)) for n in (1, 2, 3, 4, 5, 6, 8, 12)]
     c2 = fg.cyclic_group(2)
-    entries.append(("C2xC2", fg.product_group(c2, c2).group))
-    entries.append(("C2xC4", fg.product_group(c2, fg.cyclic_group(4)).group))
-    entries.append(("C3xC3", fg.product_group(fg.cyclic_group(3), fg.cyclic_group(3)).group))
+    entries.append(("C2xC2", fg.product_group(c2, c2)))
+    entries.append(("C2xC4", fg.product_group(c2, fg.cyclic_group(4))))
+    entries.append(("C3xC3", fg.product_group(fg.cyclic_group(3), fg.cyclic_group(3))))
     entries.append(("S3", _symmetric3()))
     entries.append(("D4", _dihedral(4)))
     entries.append(("D5", _dihedral(5)))

@@ -726,7 +726,7 @@ def _special_ses(obj: po.PreOrdObj, subgroup):
     cone = be.pull_cone(obj.cone, incl_map)
     if cone is None:
         raise ValidationError("subgroup does not contain the cone")
-    incl = po.PreOrdMor(po.PreOrdObj(sub, cone), obj, incl_map, be.unit_certs(obj.cone))
+    incl = po.PreOrdMor(po.PreOrdObj(sub, cone), obj, incl_map)
     return (incl, *po.cokernel(incl))
 
 

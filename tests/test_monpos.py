@@ -167,11 +167,19 @@ class TestMonoidMorphisms:
     def test_negative_row_inside_the_monoid_is_accepted(self):
         # -1 is FULL's second generator, so the search certifies the row
         h = mon_morphism(NAT, FULL, [[-1, 0]])
-        assert h.certs == ((0, 1),)
+        assert po.cone_certificate(h.cod, (-1, 0)) == (0, 1)
+        assert mp.positive_cone_mor(h).map.matrix.to_rows() == ((0, 1),)
 
     def test_negative_row_outside_the_monoid_is_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
             mon_morphism(NAT, NAT, [[-1]])
+
+    def test_cone_functor_rejects_a_map_leaving_the_cone(self):
+        # built without make_morphism, so only P's own certificate search
+        # can notice that the generator 1 goes to -1
+        flip = po.PreOrdMor(NAT, NAT, ab.make_morphism(Z, Z, [[-1]]))
+        with pytest.raises(ValidationError, match="outside the cone"):
+            mp.positive_cone_mor(flip)
 
     @pytest.mark.parametrize("universe", [po.ABELIAN, po.FINITE])
     def test_morphisms_run_between_completion_objects(self, universe):

@@ -4,6 +4,7 @@ import pytest
 
 from preordgrp import fgabelian as ab
 from preordgrp import finitegroup as fg
+from preordgrp import monpos as mp
 from preordgrp import preord as po
 from preordgrp.errors import ResourceLimitError, ValidationError
 
@@ -19,6 +20,11 @@ ZC2 = po.make_object(Z, [[2]])  # cone generated by 2
 HALF = po.make_object(ZZ, [[1, 0], [-1, 0], [0, 1]])
 QUAD = po.make_object(ZZ, [[1, 0], [0, 1]])
 S3A3 = po.make_object(S3, [THREE_CYCLE])
+
+
+def cone_rows(f):
+    """The certificate rows of f's cone generator images, as P computes them."""
+    return mp.positive_cone_mor(f).map.matrix.to_rows()
 
 
 class TestObjects:
@@ -52,7 +58,7 @@ class TestMorphisms:
         with pytest.raises(ValidationError, match="outside the cone"):
             po.make_morphism(ZN, ZN, [[-1]])
         f = po.make_morphism(ZN, ZN, [[3]])
-        assert f.certs == ((3,),)
+        assert cone_rows(f) == ((3,),)
 
     def test_no_cross_universe(self):
         with pytest.raises(ValidationError, match="universe"):
@@ -61,14 +67,16 @@ class TestMorphisms:
     def test_budget_bounds_the_membership_search(self):
         with pytest.raises(ResourceLimitError):
             po.make_morphism(ZN, ZC2, [[6]], budget=0)
-        assert po.make_morphism(ZN, ZC2, [[6]]).certs == ((3,),)
+        assert cone_rows(po.make_morphism(ZN, ZC2, [[6]])) == ((3,),)
 
     def test_compose_composes_certificates(self):
         f = po.make_morphism(ZN, ZC2, [[2]])
         g = po.make_morphism(ZC2, ZN, [[1]])
         h = po.compose_preord(f, g)
         assert h.map.matrix.to_rows() == ((2,),)
-        assert h.certs == ((2,),)
+        assert cone_rows(h) == ((2,),)
+        composite = po.compose_preord(mp.positive_cone_mor(f), mp.positive_cone_mor(g))
+        assert po.mor_eq(mp.positive_cone_mor(h), composite)
         assert po.mor_eq(h, po.make_morphism(ZN, ZN, [[2]]))
 
     def test_identity_and_zero(self):
@@ -147,7 +155,7 @@ class TestZConstructions:
         zobj, k = po.z_kernel(prj)
         assert zobj.group == ZZ
         assert zobj.cone.to_rows() == ((0, 1),)
-        assert k.certs == ((0, 1),)
+        assert cone_rows(k) == ((0, 1),)
         assert po.is_z_trivial(po.compose_preord(k, prj))
 
     def test_z_kernel_finite(self):
@@ -235,9 +243,11 @@ class TestBackends:
     def test_factor_epi_rejects_maps_that_do_not_factor(self):
         c2 = fg.cyclic_group(2)
         v4 = fg.product_group(c2, c2)
-        fin = po.discrete_object(v4.group).backend
-        assert fin.factor_epi(v4.proj_right, v4.proj_left) is None
-        assert fin.map_eq(fin.factor_epi(v4.proj_left, v4.proj_left), fg.fin_identity(c2))
+        proj_left = fg.make_fin_morphism(v4, c2, (0, 0, 1, 1))
+        proj_right = fg.make_fin_morphism(v4, c2, (0, 1, 0, 1))
+        fin = po.discrete_object(v4).backend
+        assert fin.factor_epi(proj_right, proj_left) is None
+        assert fin.map_eq(fin.factor_epi(proj_left, proj_left), fg.fin_identity(c2))
         first = ab.make_morphism(ZZ, Z, [[1], [0]])
         second = ab.make_morphism(ZZ, Z, [[0], [1]])
         assert ZN.backend.factor_epi(second, first) is None
