@@ -196,34 +196,15 @@ def cokernel(f: AbMorphism) -> tuple[FgAbGroup, AbMorphism]:
     return quotient(f.cod, f.matrix)
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    group: FgAbGroup
-    inj_left: AbMorphism
-    inj_right: AbMorphism
-    proj_left: AbMorphism
-    proj_right: AbMorphism
-
-
-def direct_sum(a: FgAbGroup, b: FgAbGroup) -> DirectSum:
+def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    """a + b on the coordinates of a followed by those of b."""
     n, m = a.rank, b.rank
     rows = []
     for i in range(a.relations.rows):
         rows.append(a.relations.row(i) + (0,) * m)
     for i in range(b.relations.rows):
         rows.append((0,) * n + b.relations.row(i))
-    total = FgAbGroup(n + m, hnf_reduced(IntMatrix.from_rows(rows, cols=n + m)))
-    inj_l_rows = [_unit_row(n + m, i) for i in range(n)]
-    inj_r_rows = [_unit_row(n + m, n + i) for i in range(m)]
-    proj_l_rows = [_unit_row(n, i) if i < n else (0,) * n for i in range(n + m)]
-    proj_r_rows = [(0,) * m if i < n else _unit_row(m, i - n) for i in range(n + m)]
-    return DirectSum(
-        total,
-        AbMorphism(a, total, IntMatrix.from_rows(inj_l_rows, cols=n + m)),
-        AbMorphism(b, total, IntMatrix.from_rows(inj_r_rows, cols=n + m)),
-        AbMorphism(total, a, IntMatrix.from_rows(proj_l_rows, cols=n)),
-        AbMorphism(total, b, IntMatrix.from_rows(proj_r_rows, cols=m)),
-    )
+    return FgAbGroup(n + m, hnf_reduced(IntMatrix.from_rows(rows, cols=n + m)))
 
 
 def is_injective(f: AbMorphism) -> bool:

@@ -23,6 +23,7 @@ integers, "#" starts a comment:
 Every printed block re-loads to a structurally equal entity.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import fgabelian as ab
@@ -60,61 +61,44 @@ def _ints(tokens, lineno, expected=None):
     return values
 
 
-class _Cursor:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def peek(self):
-        return self.lines[self.pos]
-
-    def take(self):
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-
-def _parse_abelian_object(cur: _Cursor, header_line: int):
-    if cur.done():
+def _parse_abelian_object(cur: deque, header_line: int):
+    if not cur:
         raise ParseError("expected 'rank <n>'", header_line)
-    lineno, tokens = cur.take()
+    lineno, tokens = cur.popleft()
     if tokens[0] != "rank" or len(tokens) != 2:
         raise ParseError("expected 'rank <n>'", lineno)
     (rank,) = _ints(tokens[1:], lineno, 1)
     if rank < 0:
         raise ParseError("rank must be nonnegative", lineno)
     rels, cone = [], []
-    while not cur.done() and cur.peek()[1][0] in ("rel", "cone"):
-        lineno, tokens = cur.take()
+    while cur and cur[0][1][0] in ("rel", "cone"):
+        lineno, tokens = cur.popleft()
         row = _ints(tokens[1:], lineno, rank)
         (rels if tokens[0] == "rel" else cone).append(row)
     return po.make_object(ab.make_group(rank, rels), cone)
 
 
-def _parse_finite_object(cur: _Cursor, header_line: int, cap):
-    if cur.done():
+def _parse_finite_object(cur: deque, header_line: int, cap):
+    if not cur:
         raise ParseError("expected 'order <n>'", header_line)
-    lineno, tokens = cur.take()
+    lineno, tokens = cur.popleft()
     if tokens[0] != "order" or len(tokens) != 2:
         raise ParseError("expected 'order <n>'", lineno)
     (order,) = _ints(tokens[1:], lineno, 1)
     if order < 1:
         raise ParseError("order must be positive", lineno)
-    if cur.done() or cur.peek()[1] != ["table"]:
+    if not cur or cur[0][1] != ["table"]:
         raise ParseError("expected 'table'", lineno)
-    cur.take()
+    cur.popleft()
     rows = []
     for _ in range(order):
-        if cur.done():
+        if not cur:
             raise ParseError(f"table needs {order} rows", lineno)
-        row_lineno, row_tokens = cur.take()
+        row_lineno, row_tokens = cur.popleft()
         rows.append(_ints(row_tokens, row_lineno, order))
     cone = []
-    while not cur.done() and cur.peek()[1][0] == "cone":
-        lineno, tokens = cur.take()
+    while cur and cur[0][1][0] == "cone":
+        lineno, tokens = cur.popleft()
         cone.extend(_ints(tokens[1:], lineno))
     group = (
         fg.make_finite_group(rows)
@@ -124,10 +108,10 @@ def _parse_finite_object(cur: _Cursor, header_line: int, cap):
     return po.make_object(group, cone)
 
 
-def _parse_object(cur: _Cursor, header_line: int, cap):
-    if cur.done():
+def _parse_object(cur: deque, header_line: int, cap):
+    if not cur:
         raise ParseError("expected 'universe abelian|finite'", header_line)
-    lineno, tokens = cur.take()
+    lineno, tokens = cur.popleft()
     if tokens[0] != "universe" or len(tokens) != 2:
         raise ParseError("expected 'universe abelian|finite'", lineno)
     if tokens[1] == "abelian":
@@ -137,7 +121,7 @@ def _parse_object(cur: _Cursor, header_line: int, cap):
     raise ParseError(f"unknown universe {tokens[1]!r}", lineno)
 
 
-def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
+def _parse_morphism(cur: deque, header, header_line: int, ws: Workspace):
     if len(header) != 6 or header[2] != ":" or header[4] != "->":
         raise ParseError("expected 'morphism <name> : <dom> -> <cod>'", header_line)
     name, dom_name, cod_name = header[1], header[3], header[5]
@@ -145,9 +129,9 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
         if ref not in ws.objects:
             raise ParseError(f"unknown object {ref!r}", header_line)
     dom, cod = ws.objects[dom_name], ws.objects[cod_name]
-    if cur.done():
+    if not cur:
         raise ParseError("expected 'matrix' or 'map ...'", header_line)
-    lineno, tokens = cur.take()
+    lineno, tokens = cur.popleft()
     if tokens == ["matrix"]:
         if dom.universe != po.ABELIAN or cod.universe != po.ABELIAN:
             raise ParseError("'matrix' needs abelian endpoints", lineno)
@@ -155,9 +139,9 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
         # which are not significant; no row lines follow then.
         rows = [] if cod.group.rank else [[]] * dom.group.rank
         while len(rows) < dom.group.rank:
-            if cur.done():
+            if not cur:
                 raise ParseError(f"matrix needs {dom.group.rank} rows", lineno)
-            row_lineno, row_tokens = cur.take()
+            row_lineno, row_tokens = cur.popleft()
             rows.append(_ints(row_tokens, row_lineno, cod.group.rank))
         mapping = rows
     elif tokens[0] == "map":
@@ -172,9 +156,9 @@ def _parse_morphism(cur: _Cursor, header, header_line: int, ws: Workspace):
 def parse_workspace(text: str, universe_cap: int | None = None) -> Workspace:
     """Parse a workspace file; raises ParseError or ValidationError."""
     ws = Workspace()
-    cur = _Cursor(_significant_lines(text))
-    while not cur.done():
-        lineno, tokens = cur.take()
+    cur = deque(_significant_lines(text))
+    while cur:
+        lineno, tokens = cur.popleft()
         if tokens[0] == "object":
             if len(tokens) != 2:
                 raise ParseError("expected 'object <name>'", lineno)

@@ -316,33 +316,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return d, IntMatrix.from_rows(u, cols=nrows), IntMatrix.from_rows(v, cols=ncols)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def solve_left(h: IntMatrix, b: Vec) -> Vec | None:
     """Solve y * h = b for h in row echelon form (as produced by HNF)."""
     if len(b) != h.cols:
@@ -364,15 +337,6 @@ def solve_left(h: IntMatrix, b: Vec) -> Vec | None:
     if any(residual):
         return None
     return tuple(y)
-
-
-def solve_integer(a: IntMatrix, b: Vec) -> Vec | None:
-    """Find an integer row x with x * a = b, or None if there is none."""
-    h, u = hermite_normal_form(a)
-    y = solve_left(h, b)
-    if y is None:
-        return None
-    return row_times_matrix(y, u)
 
 
 def in_rowspan_reduced(h: IntMatrix, x: Vec) -> bool:

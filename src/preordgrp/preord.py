@@ -119,19 +119,7 @@ def _compatible_images(dom: fg.FiniteGroup, cod: fg.FiniteGroup) -> tuple:
     )
 
 
-class _Backend:
-    """Primitives shared by both universes' backends."""
-
-    def make_map(self, dom, cod, mapping):
-        """An underlying map dom -> cod, from raw data or an existing map."""
-        if isinstance(mapping, (ab.AbMorphism, fg.FinMorphism)):
-            if mapping.dom != dom or mapping.cod != cod:
-                raise ValidationError("underlying morphism endpoints do not match")
-            return mapping
-        return self.build_map(dom, cod, mapping)
-
-
-class _AbelianBackend(_Backend):
+class _AbelianBackend:
     name = ABELIAN
 
     def make_cone(self, group, cone):
@@ -235,7 +223,7 @@ class _AbelianBackend(_Backend):
 
     def pair(self, f, g):
         """x -> (f(x), g(x)), into the direct sum of the codomains."""
-        total = ab.direct_sum(f.cod, g.cod).group
+        total = ab.direct_sum(f.cod, g.cod)
         return ab.AbMorphism(f.dom, total, _hcat(f.matrix, g.matrix))
 
     def small_elements(self, group):
@@ -295,7 +283,7 @@ class _AbelianBackend(_Backend):
         return _first_of_each(options, span)
 
 
-class _FiniteBackend(_Backend):
+class _FiniteBackend:
     name = FINITE
 
     def make_cone(self, group, cone):
@@ -590,7 +578,12 @@ def make_morphism(dom: PreOrdObj, cod: PreOrdObj, mapping, budget=None) -> PreOr
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
     be = dom.backend
-    m = be.make_map(dom.group, cod.group, mapping)
+    if isinstance(mapping, (ab.AbMorphism, fg.FinMorphism)):
+        if mapping.dom != dom.group or mapping.cod != cod.group:
+            raise ValidationError("underlying morphism endpoints do not match")
+        m = mapping
+    else:
+        m = be.build_map(dom.group, cod.group, mapping)
     for x in be.cone_elements(dom.cone):
         y = be.apply(m, x)
         cert = be.contains(cod, y, budget)
@@ -807,14 +800,17 @@ def pullback_with_counit(f: PreOrdMor) -> PullbackSquare:
         return PullbackSquare(zobj, to_dom, to_disc, PreOrdMor(zobj, zobj, ident))
     be = X.backend
     rx, ry = X.group.rank, Y.group.rank
-    ds = ab.direct_sum(X.group, Y.group)
-    diff = ab.AbMorphism(ds.group, Y.group, f.map.matrix.stack(IntMatrix.identity(ry).neg()))
+    total = ab.direct_sum(X.group, Y.group)
+    diff = ab.AbMorphism(total, Y.group, f.map.matrix.stack(IntMatrix.identity(ry).neg()))
     pbgroup, incl = ab.kernel(diff)
     pbcone = be.pull_cone(_hcat(zobj.cone, IntMatrix.zeros(zobj.cone.rows, ry)), incl)
     pbobj = PreOrdObj(pbgroup, pbcone)
-    to_dom = PreOrdMor(pbobj, X, ab.compose(incl, ds.proj_left))
-    to_disc = PreOrdMor(pbobj, dy, ab.compose(incl, ds.proj_right))
-    graph = ab.make_morphism(X.group, ds.group, _hcat(IntMatrix.identity(rx), f.map.matrix))
+    # the projections of X + Y onto its two summands
+    first = IntMatrix.identity(rx).stack(IntMatrix.zeros(ry, rx))
+    second = IntMatrix.zeros(rx, ry).stack(IntMatrix.identity(ry))
+    to_dom = PreOrdMor(pbobj, X, ab.AbMorphism(pbgroup, X.group, incl.matrix.mul(first)))
+    to_disc = PreOrdMor(pbobj, dy, ab.AbMorphism(pbgroup, Y.group, incl.matrix.mul(second)))
+    graph = ab.make_morphism(X.group, total, _hcat(IntMatrix.identity(rx), f.map.matrix))
     cmp_map = ab.factor_through_injection(graph, incl)
     comparison = PreOrdMor(zobj, pbobj, cmp_map)
     return PullbackSquare(pbobj, to_dom, to_disc, comparison)
@@ -834,12 +830,12 @@ def pushout_with_unit(f: PreOrdMor) -> PushoutSquare:
         raise ValidationError("pushouts are only available in the abelian universe")
     X, Y = f.dom, f.cod
     cx, _ = functor_C(X)
-    rc = cx.group.rank
-    ds = ab.direct_sum(Y.group, cx.group)
+    ry, rc = Y.group.rank, cx.group.rank
     graph = _hcat(f.map.matrix, IntMatrix.identity(rc).neg())
-    pogroup, _ = ab.quotient(ds.group, graph)
-    in1 = ab.AbMorphism(Y.group, pogroup, ds.inj_left.matrix)
-    in2 = ab.AbMorphism(cx.group, pogroup, ds.inj_right.matrix)
+    pogroup, _ = ab.quotient(ab.direct_sum(Y.group, cx.group), graph)
+    # the injections of the two summands of Y + C(X)
+    in1 = ab.AbMorphism(Y.group, pogroup, _hcat(IntMatrix.identity(ry), IntMatrix.zeros(ry, rc)))
+    in2 = ab.AbMorphism(cx.group, pogroup, _hcat(IntMatrix.zeros(rc, ry), IntMatrix.identity(rc)))
     poobj = PreOrdObj(pogroup, _hcat(Y.cone, IntMatrix.zeros(Y.cone.rows, rc)))
     from_cod = PreOrdMor(Y, poobj, in1)
     from_stable = PreOrdMor(cx, poobj, in2)

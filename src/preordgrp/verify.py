@@ -342,7 +342,7 @@ def _invertible_part(X: po.PreOrdObj) -> po.PreOrdObj:
     return po.make_object(X.group, invertible)
 
 
-def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
+def verify_pretorsion_axioms(suite: ProbeSuite, corrupt=None) -> Certificate:
     """Torsion/torsion-free split: classification, exactness, vanishing."""
     stats = {}
     witnesses = []
@@ -374,13 +374,8 @@ def verify_pretorsion_axioms(suite: ProbeSuite, mislabel=None) -> Certificate:
                 torsion_pool.append(probe)
             if cls.torsion_free:
                 free_pool.append(probe)
-        if mislabel is not None:
-            bad_name, pool = mislabel
-            for probe in pr.probes_for(universe):
-                if probe.name == bad_name and pool == "torsion":
-                    torsion_pool.append(probe)
-                if probe.name == bad_name and pool == "torsion-free":
-                    free_pool.append(probe)
+        # corrupted classification: the named probe is listed as torsion too
+        torsion_pool += [probe for probe in pr.probes_for(universe) if probe.name == corrupt]
         for pa in torsion_pool:
             if not po.classify_object(pa.obj).torsion:
                 witnesses.append(f"{pa.name}: listed as torsion but has an untouched generator")
@@ -569,11 +564,12 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
 
 
 def _punctured_square(square, legs, legs_leave_corner: bool):
-    """The square with one corner cone generator removed, or None.  Its two
-    legs leave the corner or enter it; the comparison enters it."""
+    """The square with one corner cone generator removed, as a one-mutant
+    tuple, or ().  Its two legs leave the corner or enter it; the comparison
+    enters it."""
     smaller = _punctured(square.obj)
     if smaller is None:
-        return None
+        return ()
 
     def rerouted(f, leaves):
         if leaves:
@@ -581,11 +577,11 @@ def _punctured_square(square, legs, legs_leave_corner: bool):
         return po.PreOrdMor(f.dom, smaller, f.map)
 
     legs = (rerouted(f, legs_leave_corner) for f in legs)
-    return type(square)(smaller, *legs, rerouted(square.comparison, False))
+    return (("cone-dropped", type(square)(smaller, *legs, rerouted(square.comparison, False))),)
 
 
-def pullback_mutant(m: po.PreOrdMor):
-    """A pullback square with one corner cone generator removed."""
+def pullback_mutants(m: po.PreOrdMor):
+    """The pullback square with one corner cone generator removed, if any."""
     square = po.pullback_with_counit(m)
     return _punctured_square(square, (square.to_dom, square.to_discrete), True)
 
@@ -643,8 +639,8 @@ def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
     return witnesses, stats
 
 
-def pushout_mutant(m: po.PreOrdMor):
-    """A pushout square with one corner cone generator removed."""
+def pushout_mutants(m: po.PreOrdMor):
+    """The pushout square with one corner cone generator removed, if any."""
     square = po.pushout_with_unit(m)
     return _punctured_square(square, (square.from_cod, square.from_stable), False)
 
@@ -972,7 +968,7 @@ _MUTATION_BUDGET = 12
 def _claim_sweep(label, universe, witnesses_of, mutants_of, seed, samples):
     """Check every sampled morphism with witnesses_of(m, suite, candidate).
 
-    Until _MUTATION_BUDGET mutant runs are spent, each (phrase, candidate)
+    Until _MUTATION_BUDGET mutant runs are spent, each (kind, candidate)
     of mutants_of(m) must draw a witness too.
     """
     suite = default_suite(seed)
@@ -986,33 +982,15 @@ def _claim_sweep(label, universe, witnesses_of, mutants_of, seed, samples):
         for k, v in s.items():
             _bump(stats, k, v)
         if mutation_runs < _MUTATION_BUDGET:
-            for phrase, candidate in mutants_of(m):
+            for kind, candidate in mutants_of(m):
                 mw, _ = witnesses_of(m, suite, candidate)
                 mutation_runs += 1
                 _bump(stats, "mutations")
                 if not mw:
-                    witnesses.append(f"{_mor_key(m)}: {phrase} went undetected")
+                    witnesses.append(f"{_mor_key(m)}: mutation {kind} went undetected")
     if mutation_runs == 0:
         witnesses.append("no applicable mutations were generated")
     return _certificate(f"{label}-{universe}", stats, witnesses)
-
-
-def _zker_mutants(m):
-    return [(f"mutation {label}", candidate) for label, candidate in z_kernel_mutants(m)]
-
-
-def _zcok_mutants(m):
-    return [(f"mutation {label}", candidate) for label, candidate in z_cokernel_mutants(m)]
-
-
-def _pullback_mutants(m):
-    square = pullback_mutant(m)
-    return [] if square is None else [("cone-dropped mutation", square)]
-
-
-def _pushout_mutants(m):
-    square = pushout_mutant(m)
-    return [] if square is None else [("cone-dropped mutation", square)]
 
 
 def _claim_ztrivial(universe, seed, samples):
@@ -1068,12 +1046,12 @@ def _corrupted(name, samples, fn, corrupt, note):
 # up when the claim runs, so a tracer that rebinds module functions sees
 # those calls.
 CLAIMS = (
-    _sweep("zker-up", po.ABELIAN, 40, _zker_witnesses, _zker_mutants),
-    _sweep("zker-up", po.FINITE, 40, _zker_witnesses, _zker_mutants),
-    _sweep("zcok-up", po.ABELIAN, 40, _zcok_witnesses, _zcok_mutants),
-    _sweep("zcok-up", po.FINITE, 40, _zcok_witnesses, _zcok_mutants),
+    _sweep("zker-up", po.ABELIAN, 40, _zker_witnesses, lambda m: z_kernel_mutants(m)),
+    _sweep("zker-up", po.FINITE, 40, _zker_witnesses, lambda m: z_kernel_mutants(m)),
+    _sweep("zcok-up", po.ABELIAN, 40, _zcok_witnesses, lambda m: z_cokernel_mutants(m)),
+    _sweep("zcok-up", po.FINITE, 40, _zcok_witnesses, lambda m: z_cokernel_mutants(m)),
     _corrupted(
-        "pretorsion", 50, lambda *a: verify_pretorsion_axioms(*a), ("Z-even", "torsion"),
+        "pretorsion", 50, lambda *a: verify_pretorsion_axioms(*a), "Z-even",
         "mislabelled torsion probe",
     ),
     _ztrivial(po.ABELIAN, 120),
@@ -1082,9 +1060,9 @@ CLAIMS = (
         "adjunction", 50, lambda *a: verify_adjunctions(*a), "Z-natural",
         "forgotten collapse generator",
     ),
-    _sweep("gjm-pullback", po.ABELIAN, 30, _pullback_witnesses, _pullback_mutants),
-    _sweep("gjm-pullback", po.FINITE, 30, _pullback_witnesses, _pullback_mutants),
-    _sweep("gjm-pushout", po.ABELIAN, 30, _pushout_witnesses, _pushout_mutants),
+    _sweep("gjm-pullback", po.ABELIAN, 30, _pullback_witnesses, lambda m: pullback_mutants(m)),
+    _sweep("gjm-pullback", po.FINITE, 30, _pullback_witnesses, lambda m: pullback_mutants(m)),
+    _sweep("gjm-pushout", po.ABELIAN, 30, _pushout_witnesses, lambda m: pushout_mutants(m)),
     _corrupted(
         "mon-torsion", 50, lambda *a: verify_mon_torsion_theory(*a), "Z-natural",
         "inflated unit monoid",

@@ -1,13 +1,17 @@
-"""Workspace files: round-trips, comments, and parse diagnostics."""
+"""Workspace files: round-trips, comments, parse diagnostics, and fuzzing."""
+
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preordgrp import fgabelian as ab
 from preordgrp import fileformat as ff
 from preordgrp import finitegroup as fg
 from preordgrp import preord as po
 from preordgrp import probes as pr
-from preordgrp.errors import ParseError, ValidationError
+from preordgrp.errors import ParseError, ResourceLimitError, ValidationError
 
 S3, _ = fg.group_from_permutations([(1, 0, 2), (0, 2, 1)])
 
@@ -161,3 +165,61 @@ class TestValidationAtLoad:
         text = "object a\nuniverse finite\norder 2\ntable\n0 1\n1 1\ncone 0\n"
         with pytest.raises(ValidationError, match="repeats"):
             ff.parse_workspace(text)
+
+
+# --- fuzzing: token and line mutations of the golden workspace files ----------
+
+GOLDEN = Path(__file__).parent / "golden"
+SOURCES = [(GOLDEN / name).read_text() for name in ("cli_readme.txt", "cli_twins.txt")]
+KEYWORDS = (
+    "object", "universe", "abelian", "finite", "rank", "rel", "cone", "order",
+    "table", "morphism", ":", "->", "matrix", "map", "#",
+)
+TOKENS = st.one_of(
+    st.sampled_from(KEYWORDS),
+    st.integers(-3, 8).map(str),
+    st.sampled_from(("zn", "c2", "A", "F", "e.ker", "x", "1.5")),
+)
+MUTATIONS = (
+    "drop-line", "copy-line", "swap-lines", "drop-token", "replace-token", "insert-token",
+)
+
+
+@st.composite
+def mutated_workspace(draw):
+    """A golden workspace file with one to four line or token mutations."""
+    lines = [line.split() for line in draw(st.sampled_from(SOURCES)).splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "copy-line":
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        elif kind == "swap-lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "insert-token":
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(TOKENS))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "drop-token":
+                del lines[i][j]
+            else:
+                lines[i][j] = draw(TOKENS)
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_workspace())
+    def test_mutated_golden_files_load_or_fail_cleanly(self, text):
+        # any text loads or raises one of the library's errors, never a
+        # traceback, and what loads prints back to itself
+        try:
+            ws = ff.parse_workspace(text)
+        except (ParseError, ValidationError, ResourceLimitError):
+            return
+        assert_same_workspace(ws, ff.parse_workspace(ff.format_workspace(ws)))

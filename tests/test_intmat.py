@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples plus brute-force oracle sweeps."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_reference import reference_completion
+from lattice_reference import determinant, solve_integer
 from preordgrp import preord as po
 from preordgrp.errors import DimensionError, ResourceLimitError
 from preordgrp.intmat import (
     IntMatrix,
-    determinant,
     hermite_normal_form,
     hilbert_basis,
     hnf_reduced,
@@ -25,7 +26,6 @@ from preordgrp.intmat import (
     nonneg_search,
     row_times_matrix,
     smith_normal_form,
-    solve_integer,
     unimodular_inverse,
     vec_add,
     xgcd,
@@ -181,6 +181,30 @@ class TestSmith:
                     assert b % a == 0
                 else:
                     assert b == 0
+
+    def test_divisors_from_minors(self):
+        # d_1 ... d_k is the gcd of all k x k minors (Newman, Integral
+        # Matrices, II.15); the minors come from Bareiss elimination, which
+        # shares no code with the Smith form
+        rng = random.Random(6061)
+        for i in range(20):
+            rows, cols = (6, 6) if i < 4 else (rng.randint(1, 6), rng.randint(1, 6))
+            inner = rng.randint(1, 6)  # rank at most inner
+            a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)])
+            b = IntMatrix.from_rows(
+                [[f * rng.randint(-3, 3) for _ in range(cols)] for f in rng.choices((1, 2, 3, 6), k=inner)]
+            )
+            m = a.mul(b)
+            d, _, _ = smith_normal_form(m)
+            product = 1
+            for k in range(1, min(rows, cols) + 1):
+                product *= d.entry(k - 1, k - 1)
+                minors = (
+                    determinant(IntMatrix.from_rows([[m.entry(r, c) for c in cs] for r in rs]))
+                    for rs in itertools.combinations(range(rows), k)
+                    for cs in itertools.combinations(range(cols), k)
+                )
+                assert product == math.gcd(*minors), (m, k)
 
     def test_termination_regression(self):
         # This matrix cycled forever before the divide-first elimination rule.

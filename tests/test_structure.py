@@ -20,16 +20,7 @@ DISPATCH_CAP = 17
 
 # Lines in the package's source files, which ROADMAP.md measures progress
 # by; like DISPATCH_CAP, lower it when a change removes more.
-SRC_LINE_CAP = 4125
-
-# Top-level functions kept with no caller in src/.
-ALLOWED_UNUSED = {
-    # The Smith-form oracle from determinantal divisors (ROADMAP item 5)
-    # computes minors with it; today the HNF tests check unimodularity.
-    "determinant": "kept for the determinantal-divisor SNF oracle",
-    # The tests' independent oracle for lattice membership and the solvers.
-    "solve_integer": "test oracle for integer lattice membership",
-}
+SRC_LINE_CAP = 4028
 
 
 def _identifiers(tree):
@@ -52,15 +43,8 @@ def test_every_top_level_function_is_used():
         if isinstance(node, ast.FunctionDef)
         and node.name not in used
         and node.name not in preordgrp.__all__
-        and node.name not in ALLOWED_UNUSED
     ]
     assert unused == []
-
-
-def test_allowlist_names_exist():
-    text = "\n".join(path.read_text() for path in SRC.glob("*.py"))
-    for name in ALLOWED_UNUSED:
-        assert re.search(rf"^def {name}\(", text, re.MULTILINE), name
 
 
 def test_universe_dispatch_stays_within_its_cap():

@@ -186,6 +186,24 @@ class TestMutants:
         assert v._punctured(po.make_object(Z, [[1], [-1]])).cone.to_rows() == ((1,),)
         assert v._punctured(S3A3).cone == frozenset({0, 4})
 
+    @pytest.mark.parametrize(
+        "label, mutants_of",
+        [("zker-up", v.z_kernel_mutants), ("gjm-pullback", v.pullback_mutants)],
+    )
+    def test_undetected_mutants_fail_the_sweep(self, label, mutants_of):
+        # a witness function that never objects lets every mutant through
+        def blind(m, suite, candidate=None):
+            return [], {}
+
+        cert = v._claim_sweep(label, po.FINITE, blind, mutants_of, 0, 4)
+        assert cert.claim == f"{label}-finite"
+        assert not cert.passed
+        assert len(cert.witnesses) == dict(cert.stats)["mutations"] > 0
+        sampled = v._sweep_morphisms(po.FINITE, 0, 4, label)
+        kinds = {kind for m in sampled for kind, _ in mutants_of(m)}
+        reports = {w.split(": ", 1)[1] for w in cert.witnesses}
+        assert reports == {f"mutation {kind} went undetected" for kind in kinds}
+
 
 class TestZCokernelUP:
     def test_double_passes(self):
@@ -212,16 +230,14 @@ class TestSquares:
         for m in (PRJ, SGN):
             witnesses, _ = v._pullback_witnesses(m, SUITE)
             assert not witnesses
-            mutant = v.pullback_mutant(m)
-            assert mutant is not None
+            mutant = dict(v.pullback_mutants(m))["cone-dropped"]
             witnesses, _ = v._pullback_witnesses(m, SUITE, mutant)
             assert witnesses
 
     def test_pushout_clean_and_mutant(self):
         witnesses, _ = v._pushout_witnesses(DOUBLE, SUITE)
         assert not witnesses
-        mutant = v.pushout_mutant(DOUBLE)
-        assert mutant is not None
+        mutant = dict(v.pushout_mutants(DOUBLE))["cone-dropped"]
         witnesses, _ = v._pushout_witnesses(DOUBLE, SUITE, mutant)
         assert witnesses
 
@@ -234,7 +250,7 @@ WRONG_UNITS = [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()]
 class TestCorruptedVerifiers:
     def test_pretorsion(self):
         assert v.verify_pretorsion_axioms(SUITE).passed
-        assert not v.verify_pretorsion_axioms(SUITE, mislabel=("Z-even", "torsion")).passed
+        assert not v.verify_pretorsion_axioms(SUITE, corrupt="Z-even").passed
 
     def test_adjunction(self):
         assert v.verify_adjunctions(SUITE).passed
