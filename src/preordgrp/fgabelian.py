@@ -14,7 +14,7 @@ make_group keeps the caller's relation matrix untouched.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ResourceLimitError, ValidationError
 from .intmat import (
     IntMatrix,
     Vec,
@@ -28,9 +28,8 @@ from .intmat import (
     vec_sub,
 )
 
-
-def _unit_row(length: int, position: int) -> Vec:
-    return tuple(1 if j == position else 0 for j in range(length))
+# Largest rank make_group accepts: normal forms take at least cubic time in it.
+RANK_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,13 @@ class FgAbGroup:
 def make_group(rank: int, relation_rows) -> FgAbGroup:
     if rank < 0:
         raise ValidationError(f"negative rank {rank}")
+    if rank > RANK_CAP:
+        raise ResourceLimitError(f"group rank {rank} exceeds cap {RANK_CAP}")
     try:
         rel = IntMatrix.from_rows(relation_rows, cols=rank)
     except DimensionError as exc:
         raise ValidationError(str(exc)) from exc
     return FgAbGroup(rank, rel)
-
-
-def zero_group() -> FgAbGroup:
-    return FgAbGroup(0, IntMatrix.zeros(0, 0))
 
 
 def element_eq(g: FgAbGroup, x: Vec, y: Vec) -> bool:
@@ -153,7 +150,7 @@ def present_subgroup(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
         raise DimensionError(f"generators of length {gens.cols} in rank {g.rank}")
     m = gens.rows
     if m == 0:
-        sub = zero_group()
+        sub = make_group(0, [])
         return sub, AbMorphism(sub, g, IntMatrix.zeros(0, g.rank))
     coeff_relations = preimage_lattice(gens, g.relations)  # {c : c*gens == 0 in g}
     d, _, v = smith_normal_form(coeff_relations)

@@ -100,12 +100,7 @@ def _parse_finite_object(cur: deque, header_line: int, cap):
     while cur and cur[0][1][0] == "cone":
         lineno, tokens = cur.popleft()
         cone.extend(_ints(tokens[1:], lineno))
-    group = (
-        fg.make_finite_group(rows)
-        if cap is None
-        else fg.make_finite_group(rows, cap=cap)
-    )
-    return po.make_object(group, cone)
+    return po.make_object(fg.make_finite_group(rows, cap), cone)
 
 
 def _parse_object(cur: deque, header_line: int, cap):
@@ -153,7 +148,7 @@ def _parse_morphism(cur: deque, header, header_line: int, ws: Workspace):
     return name, dom_name, cod_name, po.make_morphism(dom, cod, mapping)
 
 
-def parse_workspace(text: str, universe_cap: int | None = None) -> Workspace:
+def parse_workspace(text: str, universe_cap: int = fg.ORDER_CAP) -> Workspace:
     """Parse a workspace file; raises ParseError or ValidationError."""
     ws = Workspace()
     cur = deque(_significant_lines(text))

@@ -144,11 +144,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, tuple((a + b) % n for a in range(n) for b in range(n)))
 
 
-def trivial_group() -> FiniteGroup:
-    return cyclic_group(1)
-
-
-def group_from_permutations(gens, cap: int = ORDER_CAP):
+def group_from_permutations(gens):
     """Close permutation tuples under composition; returns (group, elements).
 
     elements[i] is the permutation at index i, sorted so the identity
@@ -169,8 +165,8 @@ def group_from_permutations(gens, cap: int = ORDER_CAP):
         for g in gens:
             q = tuple(p[g[i]] for i in range(degree))
             if q not in elems:
-                if len(elems) >= cap:
-                    raise ResourceLimitError(f"permutation closure exceeds cap {cap}")
+                if len(elems) >= ORDER_CAP:
+                    raise ResourceLimitError(f"permutation closure exceeds cap {ORDER_CAP}")
                 elems.add(q)
                 frontier.append(q)
     ordered = sorted(elems)  # identity is lexicographically least
@@ -272,7 +268,6 @@ def conjugation_witness(g: FiniteGroup, subset) -> tuple | None:
 
 def normal_closure(g: FiniteGroup, gens) -> frozenset:
     conjugates = {g.conj(x, a) for a in gens for x in range(g.order)}
-    conjugates |= {g.inv(c) for c in conjugates}
     return submonoid_closure(g, conjugates)
 
 
@@ -303,8 +298,8 @@ def subgroup_from_set(g: FiniteGroup, elems):
 def quotient_by_normal(g: FiniteGroup, nset):
     """Quotient by a normal subgroup; returns (quotient, projection).
 
-    Cosets are represented by their least element and sorted by it, so the
-    identity coset is quotient element 0.
+    The scan meets each coset first at its least element, its representative,
+    so cosets come out sorted by it and the identity coset is element 0.
     """
     nset = frozenset(nset)
     if 0 not in nset:
@@ -322,15 +317,9 @@ def quotient_by_normal(g: FiniteGroup, nset):
     for a in range(g.order):
         if coset_of[a] >= 0:
             continue
-        members = sorted(g.mul(a, x) for x in nset)
-        idx = len(reps)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = idx
-    order_pairs = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = {old: new for new, old in enumerate(order_pairs)}
-    reps = [reps[old] for old in order_pairs]
-    coset_of = [relabel[c] for c in coset_of]
+        for x in nset:
+            coset_of[g.mul(a, x)] = len(reps)
+        reps.append(a)
     n = len(reps)
     table = tuple(coset_of[g.mul(reps[i], reps[j])] for i in range(n) for j in range(n))
     quot = FiniteGroup(n, table)

@@ -369,7 +369,9 @@ def unimodular_inverse(v: IntMatrix) -> IntMatrix:
 def _hilbert_completion(cols: list[Vec], state_cap: int, early) -> tuple[tuple[Vec, ...], int]:
     """hilbert_basis of the system with these columns, and the number of
     states visited: the same states, level by level, as the plain loop kept
-    in tests/hilbert_reference.py.
+    in tests/hilbert_reference.py.  When early is not None the search stops
+    at the first level that records a solution satisfying it, and the basis
+    returned may be incomplete; existence queries stop there.
 
     A state t carries d = G*t, G the Gram matrix of the columns, in place of
     A*t: d[i] = <A*t, A*e_i> is the branch test, and d = 0 exactly when
@@ -445,9 +447,7 @@ def _hilbert_completion(cols: list[Vec], state_cap: int, early) -> tuple[tuple[V
     return tuple(sorted(map(unpack, basis))), visited
 
 
-def hilbert_basis(
-    system: IntMatrix, state_cap: int = HILBERT_STATE_CAP, early=None
-) -> tuple[Vec, ...]:
+def hilbert_basis(system: IntMatrix, state_cap: int = HILBERT_STATE_CAP) -> tuple[Vec, ...]:
     """Minimal nonzero nonnegative integer solutions of system * x = 0.
 
     Contejean-Devie completion: grow candidate vectors from the unit
@@ -456,12 +456,9 @@ def hilbert_basis(
     Breadth-first order makes every recorded solution minimal; the branch
     rule makes the recorded set complete.
 
-    state_cap bounds the total number of states visited.  When early is
-    given, the search stops as soon as a recorded solution satisfies it
-    and the basis returned so far may be incomplete; existence queries
-    use this to avoid completing the enumeration.
+    state_cap bounds the total number of states visited.
     """
-    return _hilbert_completion([system.col(j) for j in range(system.cols)], state_cap, early)[0]
+    return _hilbert_completion([system.col(j) for j in range(system.cols)], state_cap, None)[0]
 
 
 def monoid_zero_solutions(gens: IntMatrix, lattice: IntMatrix) -> tuple[Vec, ...]:

@@ -60,7 +60,7 @@ def quotient_by_units(m: po.PreOrdObj):
     """The reduced quotient; returns (M/U, projection)."""
     if m.universe == po.FINITE:
         # every element is a unit, so the quotient is trivial
-        reduced = po.PreOrdObj(fg.trivial_group(), frozenset({0}))
+        reduced = po.PreOrdObj(fg.cyclic_group(1), frozenset({0}))
         return reduced, po.zero_preord(completion_object(m), completion_object(reduced))
     seq = po.canonical_sequence(m)
     return seq.torsion_free, positive_cone_mor(seq.eta)

@@ -168,7 +168,7 @@ class _AbelianBackend:
         return ab.is_surjective(f)
 
     def generators(self, group):
-        return [ab._unit_row(group.rank, i) for i in range(group.rank)]
+        return list(IntMatrix.identity(group.rank).to_rows())
 
     def cone_elements(self, cone):
         return list(cone.to_rows())
@@ -363,7 +363,7 @@ class _FiniteBackend:
     def unit_cone(self, obj):
         # a closed subset of a finite group is a subgroup: every cone
         # element is a unit
-        return unit_elements(obj)
+        return obj.cone
 
     def contains(self, obj, x, budget=None):
         return True if x in obj.cone else None
@@ -456,13 +456,11 @@ class _FiniteBackend:
         the whole group, and the normal closure of the cone and the least
         element outside it."""
         g = obj.group
-        cone = fg.submonoid_closure(g, obj.cone)
-        options = [("span", cone), ("full", frozenset(range(g.order)))]
-        outside = sorted(set(range(g.order)) - cone)
+        options = [("span", obj.cone), ("full", frozenset(range(g.order)))]
+        outside = sorted(set(range(g.order)) - obj.cone)
         if outside:
-            options.append(("span-plus-element", fg.normal_closure(g, cone | {outside[0]})))
-        closed = [(name, fg.submonoid_closure(g, elems)) for name, elems in options]
-        return _first_of_each(closed, lambda elems: elems)
+            options.append(("span-plus-element", fg.normal_closure(g, obj.cone | {outside[0]})))
+        return _first_of_each(options, lambda elems: elems)
 
 
 _ABELIAN_BACKEND = _AbelianBackend()
@@ -481,7 +479,7 @@ def _backend_of(group):
 @dataclass(frozen=True)
 class PreOrdObj:
     group: object  # FgAbGroup | FiniteGroup
-    cone: object  # IntMatrix of generator rows | frozenset of elements
+    cone: object  # IntMatrix of generator rows | product-closed frozenset
 
     @property
     def backend(self):
@@ -699,11 +697,6 @@ def touched_unit_generators(obj: PreOrdObj) -> tuple:
     sols = _zero_solutions(obj.cone, obj.group.reduced_relations)
     touched = {i for c in sols for i in range(len(c)) if c[i] > 0}
     return tuple(sorted(touched))
-
-
-def unit_elements(obj: PreOrdObj) -> frozenset:
-    """Finite universe: cone elements whose inverse is also in the cone."""
-    return frozenset(p for p in obj.cone if obj.group.inv(p) in obj.cone)
 
 
 def torsion_part(obj: PreOrdObj):

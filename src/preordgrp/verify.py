@@ -540,8 +540,8 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
 
     for element in be.cone_elements(true_square.obj.cone):
         t = _element_probe(true_square.obj, element)
-        a = po.compose_preord(t, po.PreOrdMor(true_square.obj, m.dom, true_square.to_dom.map))
-        b = po.compose_preord(t, po.PreOrdMor(true_square.obj, square.to_discrete.cod, true_square.to_discrete.map))
+        a = po.compose_preord(t, true_square.to_dom)
+        b = po.compose_preord(t, true_square.to_discrete)
         _bump(stats, "targeted")
         w = _pullback_factor(square, a, b)
         if w is po.UNDECIDED:

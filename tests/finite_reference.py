@@ -2,8 +2,11 @@
 
 `finitegroup` decides group validity, homomorphisms and normality on one
 generating set.  These are the loops it replaced, which check every element,
-pair or triple directly; the tests compare both on the same inputs.  Only
-tests import this module.
+pair or triple directly; the tests compare both on the same inputs.  The
+constructions at the end are the ones `finitegroup` and `preord` shortened:
+a normal closure that also adds inverses, a quotient that sorts its cosets
+and relabels them by representative, and the unit part of a finite cone
+computed from inverses.  Only tests import this module.
 """
 
 from preordgrp.errors import ResourceLimitError, ValidationError
@@ -104,3 +107,47 @@ def conjugation_witness(g: FiniteGroup, subset) -> tuple | None:
             if g.conj(x, a) not in sub:
                 return (x, a)
     return None
+
+
+def normal_closure(g: FiniteGroup, gens) -> frozenset:
+    conjugates = {g.conj(x, a) for a in gens for x in range(g.order)}
+    conjugates |= {g.inv(c) for c in conjugates}
+    return submonoid_closure(g, conjugates)
+
+
+def quotient_by_normal(g: FiniteGroup, nset):
+    nset = frozenset(nset)
+    if 0 not in nset:
+        raise ValidationError("normal subgroup misses the identity")
+    if submonoid_closure(g, nset) != nset:
+        raise ValidationError("subset is not product-closed")
+    witness = conjugation_witness(g, nset)
+    if witness is not None:
+        raise ValidationError(
+            f"subgroup is not normal: conjugating {witness[1]} by {witness[0]} leaves it",
+            witness=witness,
+        )
+    coset_of = [-1] * g.order
+    reps = []
+    for a in range(g.order):
+        if coset_of[a] >= 0:
+            continue
+        members = sorted(g.mul(a, x) for x in nset)
+        idx = len(reps)
+        reps.append(members[0])
+        for m in members:
+            coset_of[m] = idx
+    order_pairs = sorted(range(len(reps)), key=lambda i: reps[i])
+    relabel = {old: new for new, old in enumerate(order_pairs)}
+    reps = [reps[old] for old in order_pairs]
+    coset_of = [relabel[c] for c in coset_of]
+    n = len(reps)
+    table = tuple(coset_of[g.mul(reps[i], reps[j])] for i in range(n) for j in range(n))
+    quot = FiniteGroup(n, table)
+    proj = make_fin_morphism(g, quot, tuple(coset_of))
+    return quot, proj
+
+
+def unit_elements(obj) -> frozenset:
+    """Cone elements of a finite preordered group whose inverse is also in the cone."""
+    return frozenset(p for p in obj.cone if obj.group.inv(p) in obj.cone)

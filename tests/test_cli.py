@@ -1,8 +1,11 @@
 """Command dispatch, output round-trips, and the exit-code contract."""
 
+import time
+
 import pytest
 
 from preordgrp import cli
+from preordgrp import fgabelian as ab
 from preordgrp import fileformat as ff
 from preordgrp import finitegroup as fg
 from preordgrp import verify as v
@@ -167,6 +170,21 @@ class TestExitCodes:
         cap = str(fg.ORDER_CAP)
         assert cli.main(["classify", workspace_file, "s3", "--universe-cap", cap]) == 0
 
+    @pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-cap", "above-cap"])
+    def test_rank_cap(self, tmp_path, capsys, excess, code):
+        # a short file of large rank is refused before any normal form runs
+        path = tmp_path / "wide.txt"
+        path.write_text(
+            f"object X\nuniverse abelian\nrank {ab.RANK_CAP + excess}\n"
+            "object T\nuniverse abelian\nrank 0\n"
+            "morphism f : X -> T\nmatrix\n"
+        )
+        start = time.perf_counter()
+        assert cli.main(["kernel", str(path), "f"]) == code
+        if code:
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == "error: group rank 65 exceeds cap 64\n"
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -188,11 +206,9 @@ class TestExitCodes:
         assert expected in err_text
 
     def test_pushout_checks_unsupported_in_finite_universe(self, capsys):
+        # no claim checks finite pushouts, so the claim table rejects the name
         assert cli.main(["check-one", "gjm-pushout-finite"]) == 2
-        assert (
-            "unsupported (pushout checks requested in finite universe)"
-            in capsys.readouterr().err
-        )
+        assert "unknown claim 'gjm-pushout-finite'" in capsys.readouterr().err
 
     def test_unknown_claim(self, capsys):
         assert cli.main(["check-one", "bogus"]) == 2

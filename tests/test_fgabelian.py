@@ -5,7 +5,7 @@ import random
 import pytest
 
 from preordgrp import fgabelian as ab
-from preordgrp.errors import ValidationError
+from preordgrp.errors import ResourceLimitError, ValidationError
 from preordgrp.intmat import IntMatrix
 
 Z = ab.make_group(1, [])
@@ -45,8 +45,13 @@ class TestGroupsAndElements:
         with pytest.raises(ValidationError):
             ab.make_group(2, [[1]])
 
+    def test_rank_cap(self):
+        assert ab.make_group(ab.RANK_CAP, []).rank == ab.RANK_CAP
+        with pytest.raises(ResourceLimitError, match="rank 65 exceeds cap 64"):
+            ab.make_group(ab.RANK_CAP + 1, [])
+
     def test_is_trivial(self):
-        assert ab.is_trivial(ab.zero_group())
+        assert ab.is_trivial(ab.make_group(0, []))
         assert ab.is_trivial(ab.make_group(1, [[1]]))
         assert not ab.is_trivial(Z2)
 

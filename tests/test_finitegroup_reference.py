@@ -7,9 +7,12 @@ of order at most 60, on those tables with one entry changed, on sampled
 homomorphisms with one image changed and on random subsets.  Results and
 error messages must agree, except for the triple that witnesses a failed
 associativity check: the two generating sets can differ on a table that is
-not associative, so there the new triple only has to fail.
+not associative, so there the new triple only has to fail.  Normal
+closures, quotients and unit cones are compared with the reference
+constructions on every group of the probes' finite catalogue.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -19,6 +22,8 @@ import finite_reference as ref
 import pytest
 
 from preordgrp import finitegroup as fg
+from preordgrp import preord as po
+from preordgrp import probes as pr
 from preordgrp.errors import PreordError, ValidationError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -149,6 +154,23 @@ def test_finite_checks_match_reference(factors):
         assert closed == ref.submonoid_closure(group, gens)
         for s in (subset, closed, fg.normal_closure(group, gens)):
             assert fg.conjugation_witness(group, s) == ref.conjugation_witness(group, s)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in pr.finite_catalog()])
+def test_constructions_match_reference(name):
+    """Normal closures without added inverses, quotients without a relabel
+    and unit cones read off the cone agree with the first release's
+    constructions, on the normal closure of each element and each pair.
+    These cones include every finite probe's and every cone the finite
+    object sampler draws (the whole group among them)."""
+    group = dict(pr.finite_catalog())[name]
+    n = group.order
+    for gens in [(a,) for a in range(n)] + list(itertools.combinations(range(n), 2)):
+        closure = fg.normal_closure(group, gens)
+        assert closure == ref.normal_closure(group, gens)
+        assert fg.quotient_by_normal(group, closure) == ref.quotient_by_normal(group, closure)
+        obj = po.make_object(group, closure)
+        assert po.torsion_part(obj)[0].cone == ref.unit_elements(obj)
 
 
 def reduced_latin_squares(n):

@@ -17,6 +17,7 @@ from preordgrp import preord as po
 from preordgrp.errors import DimensionError, ResourceLimitError
 from preordgrp.intmat import (
     IntMatrix,
+    _hilbert_completion,
     hermite_normal_form,
     hilbert_basis,
     hnf_reduced,
@@ -411,17 +412,24 @@ def _outcome(call):
         return po.UNDECIDED
 
 
+def _completion(m, cap, early):
+    """The completion hilbert_basis and nonneg_search run, with its early stop."""
+    return _hilbert_completion([m.col(j) for j in range(m.cols)], cap, early)
+
+
 def _same_as_reference(m, early=None, cap=3_000):
     """Assert the completion visits as many states as the reference loop and
     finds the same basis; the visited count, or None if both exceed cap."""
     ref = _outcome(lambda: reference_completion(m, cap, early))
     if ref is po.UNDECIDED:
-        assert _outcome(lambda: hilbert_basis(m, cap, early)) is po.UNDECIDED
+        assert _outcome(lambda: _completion(m, cap, early)) is po.UNDECIDED
         return None
     basis, visited = ref
-    assert hilbert_basis(m, visited, early) == basis
+    assert _completion(m, visited, early) == (basis, visited)
+    if early is None:
+        assert hilbert_basis(m, visited) == basis
     with pytest.raises(ResourceLimitError):
-        hilbert_basis(m, visited - 1, early)
+        _completion(m, visited - 1, early)
     with pytest.raises(ResourceLimitError):
         reference_completion(m, visited - 1, early)
     return visited

@@ -199,9 +199,9 @@ class TestCanonicalSequence:
         assert seq.torsion_free.cone == frozenset({0})
 
     def test_units(self):
-        assert po.unit_elements(S3A3) == frozenset({0, 3, 4})
+        assert po.torsion_part(S3A3)[0].cone == frozenset({0, 3, 4})
         disc = po.discrete_object(S3)
-        assert po.unit_elements(disc) == frozenset({0})
+        assert po.torsion_part(disc)[0].cone == frozenset({0})
 
 
 class TestFunctors:
