@@ -16,12 +16,14 @@ Conventions fixed here and relied on elsewhere:
     packed into two ints: the state t in fields of
     (state_cap + 1).bit_length() + 1 bits, and its Gram vector d = G*t,
     biased, in fields of ((state_cap + 1) * max|G|).bit_length() + 1 bits.
-  * nonneg_search(g, m, x) returns nonneg_feasible's answer with the
-    number of completion states visited: every state_cap at least that
-    number gives the same answer, every smaller one raises
-    ResourceLimitError.  preord's membership cache relies on this.
+  * nonneg_search(g, m, x) returns nonneg_feasible's answer, coefficients
+    a >= 0 with x - a*g in rowspan(m) or None, and the number of completion
+    states visited: every state_cap at least that number gives the same
+    answer, every smaller one raises ResourceLimitError.  preord's
+    membership cache relies on this.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionError, ResourceLimitError
@@ -88,9 +90,6 @@ class IntMatrix:
     def col(self, j: int) -> Vec:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.col(j) for j in range(self.cols)], cols=self.rows)
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
@@ -114,10 +113,6 @@ class IntMatrix:
 
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Vec, y: Vec) -> Vec:
@@ -339,11 +334,6 @@ def solve_left(h: IntMatrix, b: Vec) -> Vec | None:
     return tuple(y)
 
 
-def in_rowspan_reduced(h: IntMatrix, x: Vec) -> bool:
-    """Membership test against an already HNF-reduced basis (fast path)."""
-    return solve_left(h, x) is not None
-
-
 def left_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of {x : x * m = 0}."""
     h, u = hermite_normal_form(m)
@@ -461,29 +451,57 @@ def hilbert_basis(system: IntMatrix, state_cap: int = HILBERT_STATE_CAP) -> tupl
     return _hilbert_completion([system.col(j) for j in range(system.cols)], state_cap, None)[0]
 
 
-def monoid_zero_solutions(gens: IntMatrix, lattice: IntMatrix) -> tuple[Vec, ...]:
-    """Coefficient parts of the Hilbert basis of c*gens = 0 modulo a lattice.
+def _size_reduced(basis: list[Vec]) -> list[Vec]:
+    """basis with each vector shortened by the nearest multiple of another
+    while that shortens it; the sum of squared lengths falls each time."""
+    shortened = True
+    while shortened:
+        shortened = False
+        for i, j in itertools.permutations(range(len(basis)), 2):
+            a, b = basis[i], basis[j]
+            q = (2 * vec_dot(a, b) + vec_dot(b, b)) // (2 * vec_dot(b, b))
+            c = tuple(p - q * r for p, r in zip(a, b))
+            if vec_dot(c, c) < vec_dot(a, a):
+                basis[i], shortened = c, True
+    return basis
 
-    Solves {(c, p, q) >= 0 : c*gens + (p - q)*lattice = 0} with the lattice
-    contribution sign-split into p - q, then projects the basis onto c,
-    dropping zero projections and duplicates.  Every nonnegative c with
-    c*gens in the lattice is a sum of the returned vectors.
+
+def _congruence_columns(gens: IntMatrix, modulus: IntMatrix, x: Vec | None) -> list[Vec]:
+    """Columns of c*gens = y*x modulo rowspan(modulus) over (c, y, slacks),
+    or of c*gens = 0 over (c, slacks) when x is None, in Smith coordinates.
+
+    With u*modulus*v = d, z lies in rowspan(modulus) exactly when each
+    z*v[:, i] is divisible by d[i], and is 0 where d[i] = 0.  Coordinates
+    with d[i] = 1 drop out.  Free ones stay exact equations, over v's free
+    columns shortened: long, nearly parallel ones can make the completion
+    wander through 10^6 states.  Each d[i] > 1 reduces every entry, the y
+    column's -x too, into [0, d[i]) and gets a slack column -d[i], so the
+    slack is fixed by c and y, and nonnegative.
     """
-    k, n = gens.rows, gens.cols
-    if lattice.cols != n:
-        raise DimensionError("lattice columns must match generator columns")
-    lat = lattice.to_rows()
-    cols = [*gens.to_rows(), *lat, *map(vec_neg, lat)]
-    full, _ = _hilbert_completion(cols, HILBERT_STATE_CAP, None)
-    seen = set()
-    out = []
-    for sol in full:
-        c = sol[:k]
-        if vec_is_zero(c) or c in seen:
-            continue
-        seen.add(c)
-        out.append(c)
-    return tuple(sorted(out))
+    n = gens.cols
+    if modulus.cols != n or (x is not None and len(x) != n):
+        raise DimensionError("modulus and target must match generator columns")
+    d, _, v = smith_normal_form(modulus)
+    factors = [f for f in (d.entry(i, i) for i in range(min(d.rows, n))) if f]
+    mods = [(v.col(i), f) for i, f in enumerate(factors) if f > 1]
+    free = _size_reduced([v.col(i) for i in range(len(factors), n)])
+    cols = [
+        tuple(vec_dot(z, c) % f for c, f in mods) + tuple(vec_dot(z, c) for c in free)
+        for z in [*gens.to_rows(), *([] if x is None else [vec_neg(x)])]
+    ]
+    width = len(mods) + len(free)
+    return cols + [tuple(-f if j == i else 0 for j in range(width)) for i, (_, f) in enumerate(mods)]
+
+
+def monoid_zero_solutions(gens: IntMatrix, lattice: IntMatrix) -> tuple[Vec, ...]:
+    """Minimal nonzero c >= 0 with c*gens in rowspan(lattice), sorted.
+
+    The Hilbert basis of the congruence system of _congruence_columns: each
+    slack is fixed by c, so the c-parts of its elements are exactly these
+    minimal zero sums, and every nonnegative zero sum is a sum of them.
+    """
+    basis, _ = _hilbert_completion(_congruence_columns(gens, lattice, None), HILBERT_STATE_CAP, None)
+    return tuple(sol[: gens.rows] for sol in basis)
 
 
 def nonneg_search(
@@ -491,28 +509,19 @@ def nonneg_search(
     modulus: IntMatrix,
     x: Vec,
     state_cap: int = HILBERT_STATE_CAP,
-) -> tuple[tuple[Vec, Vec] | None, int]:
+) -> tuple[Vec | None, int]:
     """nonneg_feasible's answer and the number of Hilbert states it visited."""
-    k, n = gens.rows, gens.cols
-    r = modulus.rows
-    if len(x) != n or modulus.cols != n:
-        raise DimensionError("dimension mismatch in nonneg_feasible")
+    k = gens.rows
+    cols = _congruence_columns(gens, modulus, x)
     if vec_is_zero(x):
-        return ((0,) * k, (0,) * r), 0
-    mod = modulus.to_rows()
-    cols = [*gens.to_rows(), *mod, *map(vec_neg, mod), vec_neg(x)]
-    basis, visited = _hilbert_completion(cols, state_cap, early=lambda s: s[-1] == 1)
+        return (0,) * k, 0
+    basis, visited = _hilbert_completion(cols, state_cap, early=lambda s: s[k] == 1)
     for sol in basis:
-        if sol[-1] != 1:
-            continue
-        a = sol[:k]
-        t = tuple(p - q for p, q in zip(sol[k : k + r], sol[k + r : k + 2 * r]))
-        got = row_times_matrix(a, gens) if k else (0,) * n
-        if r:
-            got = vec_add(got, row_times_matrix(t, modulus))
-        if got != x:
-            raise RuntimeError("homogenization produced an invalid certificate")
-        return (a, t), visited
+        if sol[k] == 1:
+            a = sol[:k]
+            if solve_left(hnf_reduced(modulus), vec_sub(x, row_times_matrix(a, gens))) is None:
+                raise RuntimeError("congruence system produced an invalid certificate")
+            return a, visited
     return None, visited
 
 
@@ -521,13 +530,15 @@ def nonneg_feasible(
     modulus: IntMatrix,
     x: Vec,
     state_cap: int = HILBERT_STATE_CAP,
-) -> tuple[Vec, Vec] | None:
-    """Find a >= 0 and integer t with x = a*gens + t*modulus, or None.
+) -> Vec | None:
+    """Coefficients a >= 0 with x - a*gens in rowspan(modulus), or None.
 
-    Decided by homogenization: a Hilbert basis of the system in
-    (a, t+, t-, s) with column -x attached to the slack s contains an
-    element with s = 1 exactly when x is expressible, because the s
-    coordinates of a decomposition of any solution with s = 1 sum to 1.
-    The returned certificate is re-checked by exact back-substitution.
+    Decided on the congruence system a*gens = y*x modulo the lattice, written
+    in the Smith coordinates of modulus (see _congruence_columns).  Its
+    Hilbert basis has an element with y = 1 exactly when x is feasible: such
+    an element gives a certificate, and a solution (a, 1) splits into basis
+    elements whose y coordinates sum to 1.  The search stops at the first
+    level holding one, and the certificate is re-checked against an HNF of
+    modulus.
     """
     return nonneg_search(gens, modulus, x, state_cap)[0]

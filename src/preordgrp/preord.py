@@ -60,9 +60,9 @@ from .intmat import (
     IntMatrix,
     Vec,
     hnf_reduced,
-    in_rowspan_reduced,
     monoid_zero_solutions,
     nonneg_search,
+    solve_left,
     vec_neg,
 )
 
@@ -249,7 +249,7 @@ class _AbelianBackend:
         rows = [[rng.randint(-3, 3) for _ in range(cod.group.rank)] for _ in range(dom.group.rank)]
         f = ab.make_morphism(dom.group, cod.group, rows)
         span = _cone_span(cod.cone, cod.group.relations)
-        if all(in_rowspan_reduced(span, ab.apply(f, x)) for x in self.cone_elements(dom.cone)):
+        if all(solve_left(span, ab.apply(f, x)) is not None for x in self.cone_elements(dom.cone)):
             return f
         raise ValidationError("a cone image lies outside the span of the codomain cone")
 
@@ -530,11 +530,10 @@ def cone_membership(gens: IntMatrix, relations: IntMatrix, x: Vec, budget: int):
         if budget <= states:
             return UNDECIDED
         try:
-            got, states = nonneg_search(gens, relations, x, budget)
+            answer, states = nonneg_search(gens, relations, x, budget)
         except ResourceLimitError:
             record[1] = budget
             return UNDECIDED
-        answer = None if got is None else got[0]
         record[:] = answer, states
     return answer if budget >= states else UNDECIDED
 

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbert_reference import reference_completion
+from hilbert_reference import reference_completion, sign_split_search, sign_split_zero_sums
 from lattice_reference import determinant, solve_integer
+from preordgrp import intmat
 from preordgrp import preord as po
 from preordgrp.errors import DimensionError, ResourceLimitError
 from preordgrp.intmat import (
     IntMatrix,
+    _congruence_columns,
     _hilbert_completion,
     hermite_normal_form,
     hilbert_basis,
@@ -28,7 +30,7 @@ from preordgrp.intmat import (
     row_times_matrix,
     smith_normal_form,
     unimodular_inverse,
-    vec_add,
+    vec_sub,
     xgcd,
 )
 
@@ -86,6 +88,15 @@ def assert_row_echelon(h: IntMatrix):
             assert 0 <= h.row(k)[lead] < row[lead]
 
 
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows([m.col(j) for j in range(m.cols)], cols=m.rows)
+
+
+def in_lattice(modulus: IntMatrix, z) -> bool:
+    """Oracle: z lies in rowspan(modulus)."""
+    return solve_integer(modulus, tuple(z)) is not None
+
+
 def random_matrix(rng, max_rows=5, max_cols=5, lo=-9, hi=9):
     r = rng.randint(0, max_rows)
     c = rng.randint(1, max_cols)
@@ -107,7 +118,7 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert m.row(1) == (3, 4)
         assert m.col(0) == (1, 3)
-        assert m.transpose().to_rows() == ((1, 3), (2, 4))
+        assert transpose(m).to_rows() == ((1, 3), (2, 4))
         assert m.mul(IntMatrix.identity(2)) == m
         assert m.stack(m).rows == 4
         assert row_times_matrix((1, 1), m) == (4, 6)
@@ -323,7 +334,7 @@ class TestHilbertBasis:
         for _ in range(40):
             m = random_matrix(rng, max_rows=2, max_cols=4, lo=-3, hi=3)
             for b in hilbert_basis(m):
-                assert all(v == 0 for v in row_times_matrix(b, m.transpose()))
+                assert all(v == 0 for v in row_times_matrix(b, transpose(m)))
 
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -344,17 +355,15 @@ class TestNonnegFeasible:
     def test_examples(self):
         two_three = IntMatrix.from_rows([[2], [3]])
         none = IntMatrix.zeros(0, 1)
-        a, t = nonneg_feasible(two_three, none, (7,))
+        a = nonneg_feasible(two_three, none, (7,))
         assert row_times_matrix(a, two_three) == (7,)
         assert nonneg_feasible(IntMatrix.from_rows([[2]]), none, (1,)) is None
-        a, t = nonneg_feasible(
-            IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]]), (1,)
-        )
-        assert a[0] * 2 + t[0] * 3 == 1
+        three = IntMatrix.from_rows([[3]])
+        a = nonneg_feasible(IntMatrix.from_rows([[2]]), three, (1,))
+        assert min(a) >= 0 and in_lattice(three, (1 - 2 * a[0],))
 
     def test_zero_target(self):
-        a, t = nonneg_feasible(IntMatrix.from_rows([[5]]), IntMatrix.zeros(0, 1), (0,))
-        assert a == (0,) and t == ()
+        assert nonneg_feasible(IntMatrix.from_rows([[5]]), IntMatrix.zeros(0, 1), (0,)) == (0,)
 
     def test_corrupted_certificate_raises_under_optimize(self):
         # The re-check must not be an assert: python -O strips those.
@@ -372,7 +381,7 @@ class TestNonnegFeasible:
             env={"PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "homogenization produced an invalid certificate\n"
+        assert proc.stdout == "congruence system produced an invalid certificate\n"
 
     def test_against_brute_force(self):
         rng = random.Random(808)
@@ -397,11 +406,8 @@ class TestNonnegFeasible:
             if brute is not None:
                 assert mine is not None
             if mine is not None:
-                a, t = mine
-                got = row_times_matrix(a, gens)
-                if r:
-                    got = vec_add(got, row_times_matrix(t, modulus))
-                assert got == x
+                assert min(mine) >= 0
+                assert in_lattice(modulus, vec_sub(x, row_times_matrix(mine, gens)))
 
 
 def _outcome(call):
@@ -483,7 +489,7 @@ class TestAgainstReferenceLoop:
                 assert _same_as_reference(m, early) == m.cols
         none = IntMatrix.zeros(0, 2)
         assert nonneg_search(none, none, (1, 0)) == (None, 1)
-        assert nonneg_search(IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0), ()) == (((0, 0, 0), ()), 0)
+        assert nonneg_search(IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0), ()) == ((0, 0, 0), 0)
         assert monoid_zero_solutions(none, none) == ()
         assert monoid_zero_solutions(IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 0)) == ((0, 1), (1, 0))
 
@@ -505,26 +511,29 @@ class TestAgainstReferenceLoop:
         _same_as_reference(IntMatrix.from_rows(rows, cols=n), early, cap)
 
     def test_membership_visits_as_many_states(self):
-        # nonneg_feasible homogenizes over (a, t+, t-, s); see its docstring.
+        # nonneg_search runs the completion on the congruence columns over
+        # (a, y, slacks), stopping at the first level with y = 1.
         rng = random.Random(314)
         for _ in range(40):
             n = rng.randint(1, 3)
-            gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-            mod = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+            gens = IntMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))], cols=n
+            )
+            mod = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 1))], cols=n
+            )
             x = tuple(rng.randint(-5, 5) for _ in range(n))
             if not any(x):
                 continue
-            columns = gens + mod + [[-v for v in r] for r in mod] + [[-v for v in x]]
-            system = IntMatrix.from_rows(columns, cols=n).transpose()
-            ref = _outcome(lambda: reference_completion(system, 20_000, lambda s: s[-1] == 1))
-            got = _outcome(
-                lambda: nonneg_search(
-                    IntMatrix.from_rows(gens, cols=n), IntMatrix.from_rows(mod, cols=n), x, 20_000
-                )
-            )
+            k = gens.rows
+            columns = _congruence_columns(gens, mod, x)
+            system = transpose(IntMatrix.from_rows(columns, cols=len(columns[0])))
+            ref = _outcome(lambda: reference_completion(system, 20_000, lambda s: s[k] == 1))
+            got = _outcome(lambda: nonneg_search(gens, mod, x, 20_000))
             assert (ref is po.UNDECIDED) == (got is po.UNDECIDED)
             if ref is not po.UNDECIDED:
                 assert got[1] == ref[1]
+                assert got[0] == next((s[:k] for s in ref[0] if s[k] == 1), None)
 
 
 class TestMembershipOracle:
@@ -553,8 +562,7 @@ class TestMembershipOracle:
             budgets = sorted({0, 1, visited // 2, visited - 1, visited, visited + 1, 10 * visited})
             expected = {}
             for b in budgets:
-                got = _outcome(lambda: nonneg_feasible(gens, rels, x, b))
-                expected[b] = got if got is None or got is po.UNDECIDED else got[0]
+                expected[b] = _outcome(lambda: nonneg_feasible(gens, rels, x, b))
             shuffled = budgets[:]
             random.Random(visited).shuffle(shuffled)
             for order in (budgets, budgets[::-1], shuffled, [visited - 1, visited + 1, visited - 1]):
@@ -590,6 +598,65 @@ class TestMonoidZeroSolutions:
             for c in monoid_zero_solutions(gens, lat):
                 img = row_times_matrix(c, gens)
                 assert solve_integer(lat, img) is not None
+
+    def test_sign_split_surplus_is_dropped(self):
+        # The sign-split basis also holds (1, 1, 0), (1, 0, 1), (0, 1, 1), ...
+        gens, lat = IntMatrix.from_rows([[2], [-2], [3]]), IntMatrix.from_rows([[1]])
+        assert len(sign_split_zero_sums(gens, lat)) == 7
+        assert monoid_zero_solutions(gens, lat) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def _minimal(vectors):
+    return tuple(sorted(
+        v for v in vectors if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vectors)
+    ))
+
+
+def _touched(zero_sums):
+    return {i for c in zero_sums for i, ci in enumerate(c) if ci}
+
+
+@st.composite
+def _membership_instances(draw):
+    n = draw(st.integers(0, 4))
+    entries = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    gens = IntMatrix.from_rows(draw(st.lists(entries, max_size=4)), cols=n)
+    modulus = IntMatrix.from_rows(draw(st.lists(entries, max_size=2)), cols=n)
+    return gens, modulus, tuple(draw(entries))
+
+
+class TestAgainstSignSplit:
+    """The Smith-coordinate system against the sign-split one it replaced
+    (tests/hilbert_reference.py), at a budget of 20,000 states."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_membership_instances())
+    def test_same_answers(self, instance):
+        gens, modulus, x = instance
+        old = _outcome(lambda: sign_split_search(gens, modulus, x, 20_000))
+        new = _outcome(lambda: nonneg_search(gens, modulus, x, 20_000))
+        if old is not po.UNDECIDED and new is not po.UNDECIDED:
+            assert (old[0] is None) == (new[0] is None)
+        if new is not po.UNDECIDED and new[0] is not None:
+            a = new[0]
+            assert min(a, default=0) >= 0
+            assert in_lattice(modulus, vec_sub(x, row_times_matrix(a, gens)))
+        old_sums = _outcome(lambda: sign_split_zero_sums(gens, modulus, 20_000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "HILBERT_STATE_CAP", 20_000)
+            new_sums = _outcome(lambda: monoid_zero_solutions(gens, modulus))
+        if old_sums is not po.UNDECIDED and new_sums is not po.UNDECIDED:
+            assert new_sums == _minimal(old_sums)
+            assert _touched(new_sums) == _touched(old_sums)
+
+    def test_free_columns_are_shortened(self, monkeypatch):
+        # Smith's free columns here are (0, 2, 3, -6) and (1, 3, 3, -9): over
+        # them the completion passes 10^6 states; shortened, it takes 51.
+        gens = IntMatrix.from_rows([[0, 0, 0, -1], [0, 1, 0, 0], [1, 0, 0, 2]])
+        lattice = IntMatrix.from_rows([[0, 3, 0, 1], [3, 0, 2, 1]])
+        monkeypatch.setattr(intmat, "HILBERT_STATE_CAP", 51)
+        assert monoid_zero_solutions(gens, lattice) == ()
+        assert sign_split_zero_sums(gens, lattice, 135) == ()
 
 
 class TestDeterminant:
