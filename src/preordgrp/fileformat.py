@@ -61,13 +61,16 @@ def _ints(tokens, lineno, expected=None):
     return values
 
 
+def _keyword_int(cur: deque, keyword: str, header_line: int):
+    """(lineno, n) from the next line, which must read '<keyword> <n>'."""
+    lineno, tokens = cur.popleft() if cur else (header_line, [])
+    if tokens[:1] != [keyword] or len(tokens) != 2:
+        raise ParseError(f"expected '{keyword} <n>'", lineno)
+    return lineno, _ints(tokens[1:], lineno, 1)[0]
+
+
 def _parse_abelian_object(cur: deque, header_line: int):
-    if not cur:
-        raise ParseError("expected 'rank <n>'", header_line)
-    lineno, tokens = cur.popleft()
-    if tokens[0] != "rank" or len(tokens) != 2:
-        raise ParseError("expected 'rank <n>'", lineno)
-    (rank,) = _ints(tokens[1:], lineno, 1)
+    lineno, rank = _keyword_int(cur, "rank", header_line)
     if rank < 0:
         raise ParseError("rank must be nonnegative", lineno)
     rels, cone = [], []
@@ -79,23 +82,27 @@ def _parse_abelian_object(cur: deque, header_line: int):
 
 
 def _parse_finite_object(cur: deque, header_line: int, cap):
-    if not cur:
-        raise ParseError("expected 'order <n>'", header_line)
-    lineno, tokens = cur.popleft()
-    if tokens[0] != "order" or len(tokens) != 2:
-        raise ParseError("expected 'order <n>'", lineno)
-    (order,) = _ints(tokens[1:], lineno, 1)
+    lineno, order = _keyword_int(cur, "order", header_line)
     if order < 1:
         raise ParseError("order must be positive", lineno)
     if not cur or cur[0][1] != ["table"]:
         raise ParseError("expected 'table'", lineno)
     cur.popleft()
+    # Fast path: a row of `order` canonical tokens "0" .. str(order - 1) maps
+    # through one lookup; any other row ("07", "+3", "1_0", a bad token or
+    # length, an entry out of range) goes through _ints, so through int().
+    # The lookup stops at the order cap, which make_finite_group enforces.
+    lookup = {str(a): a for a in range(min(order, cap))}
     rows = []
     for _ in range(order):
         if not cur:
             raise ParseError(f"table needs {order} rows", lineno)
         row_lineno, row_tokens = cur.popleft()
-        rows.append(_ints(row_tokens, row_lineno, order))
+        try:
+            row = tuple(map(lookup.__getitem__, row_tokens))
+        except KeyError:
+            row = ()
+        rows.append(row if len(row) == order else _ints(row_tokens, row_lineno, order))
     cone = []
     while cur and cur[0][1][0] == "cone":
         lineno, tokens = cur.popleft()
@@ -194,10 +201,11 @@ def format_object(name: str, obj: po.PreOrdObj) -> str:
         lines.append("universe finite")
         lines.append(f"order {obj.group.order}")
         lines.append("table")
-        n = obj.group.order
-        for i in range(n):
-            # join on a list: faster than on a generator or map(str, ...)
-            lines.append(" ".join([str(v) for v in obj.group.table[i * n : (i + 1) * n]]))
+        n, table = obj.group.order, obj.group.table
+        names = [str(a) for a in range(n)]
+        for i in range(0, n * n, n):
+            # join on a list: faster than on a generator or map(...)
+            lines.append(" ".join([names[v] for v in table[i : i + n]]))
         lines.append(_int_line("cone", sorted(obj.cone)))
     return "\n".join(lines)
 

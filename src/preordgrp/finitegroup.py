@@ -19,9 +19,16 @@ ones, an O(n k) closure.  Three checks run on the generators alone:
 - Normality: for any subset S, the x with xSx^-1 inside S are closed under
   the product, as (xy)S(xy)^-1 = x(ySy^-1)x^-1.
 
-The other checks work on whole rows and columns.  A failed check reruns the
-element-by-element scan, so each witness is the first failing one; only the
-associativity triple depends on the generators.
+`make_finite_group` checks entry types and ranges on the whole table, then
+the group axioms: identity, Light's test, and a 0 in every row.  Right
+inverses are two-sided in a finite monoid (a . b = 0 makes x -> b . x
+injective, so b . c = 0 for some c, and a = (a . b) . c = c), so the table
+is a group's, where a . x = b and x . a = b have the one solutions a^-1 . b
+and b . a^-1: a Latin square.  The row and column scan runs only when an
+axiom fails.  A failed check, here as in the homomorphism and normality
+checks, reruns the element-by-element scan in its fixed order, so each
+witness is the first failing one; only the associativity triple depends
+on the generators.
 """
 
 from dataclasses import dataclass
@@ -44,11 +51,8 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> tuple:
-        inv = [0] * self.order
-        for a in range(self.order):
-            row = self.table[a * self.order : (a + 1) * self.order]
-            inv[a] = row.index(0)
-        return tuple(inv)
+        n, table = self.order, self.table
+        return tuple(table[a : a + n].index(0) for a in range(0, n * n, n))
 
     @cached_property
     def generators(self) -> tuple:
@@ -96,6 +100,18 @@ def _closure_set(table, order, gens):
     return out
 
 
+def _light_witness(rows, gens):
+    """The first (a, g, c) with (a . g) . c != a . (g . c), or None."""
+    n = len(rows)
+    for g in gens:
+        times_g = itemgetter(*rows[g])  # row a.g must be row a read at row g
+        for a in range(n):
+            if rows[rows[a][g]] != times_g(rows[a]):
+                c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][rows[g][c]])
+                return a, g, c
+    return None
+
+
 def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
     rows = [tuple(r) for r in rows]
     n = len(rows)
@@ -103,39 +119,31 @@ def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
         raise ValidationError("empty multiplication table")
     if n > cap:
         raise ResourceLimitError(f"group order {n} exceeds cap {cap}")
-    elements = set(range(n))
-    for a, row in enumerate(rows):
-        if len(row) != n:
-            raise ValidationError(f"table row {a} has {len(row)} entries, expected {n}")
-        if {int}.issuperset(map(type, row)) and elements.issuperset(row):
-            continue
-        for b, e in enumerate(row):
-            if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
-                raise ValidationError(f"table entry at ({a}, {b}) is {e!r}")
     flat = tuple(chain.from_iterable(rows))
+    well_typed = {int}.issuperset(map(type, flat)) and set(range(n)).issuperset(flat)
+    if not well_typed or set(map(len, rows)) != {n}:
+        for a, row in enumerate(rows):
+            if len(row) != n:
+                raise ValidationError(f"table row {a} has {len(row)} entries, expected {n}")
+            for b, e in enumerate(row):
+                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
+                    raise ValidationError(f"table entry at ({a}, {b}) is {e!r}")
     for a in range(n):
         if flat[a] != a:
             raise ValidationError(f"0 is not a left identity: 0 . {a} = {flat[a]}")
         if flat[a * n] != a:
             raise ValidationError(f"0 is not a right identity: {a} . 0 = {flat[a * n]}")
+    group = FiniteGroup(n, flat)
+    witness = _light_witness(rows, group.generators)
+    if witness is None and all(0 in row for row in rows):
+        return group  # a group table, so a Latin square (module docstring)
     for a in range(n):
         if len(set(flat[a * n : (a + 1) * n])) != n:
             raise ValidationError(f"row {a} repeats an element", witness=a)
         if len(set(flat[a::n])) != n:
             raise ValidationError(f"column {a} repeats an element", witness=a)
-    group = FiniteGroup(n, flat)
-    # Light's test on the generators: row a.g must be row a read at row g
-    for g in group.generators:
-        times_g = itemgetter(*rows[g])
-        for a in range(n):
-            if rows[rows[a][g]] != times_g(rows[a]):
-                c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][rows[g][c]])
-                raise ValidationError(f"not associative at ({a}, {g}, {c})", witness=(a, g, c))
-    for a in range(n):
-        b = group.inv(a)
-        if group.mul(b, a) != 0:
-            raise ValidationError(f"{a} has no two-sided inverse", witness=a)
-    return group
+    # a Latin square has a 0 in every row, so Light's test failed
+    raise ValidationError("not associative at ({}, {}, {})".format(*witness), witness=witness)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -209,33 +217,6 @@ def make_fin_morphism(dom: FiniteGroup, cod: FiniteGroup, mapping) -> FinMorphis
                 if mapping[dom.mul(a, b)] != cod.mul(mapping[a], mapping[b]):
                     raise ValidationError(f"not a homomorphism at ({a}, {b})", witness=(a, b))
     return FinMorphism(dom, cod, mapping)
-
-
-def fin_identity(g: FiniteGroup) -> FinMorphism:
-    return FinMorphism(g, g, tuple(range(g.order)))
-
-
-def fin_zero_morphism(dom: FiniteGroup, cod: FiniteGroup) -> FinMorphism:
-    return FinMorphism(dom, cod, (0,) * dom.order)
-
-
-def fin_compose(f: FinMorphism, g: FinMorphism) -> FinMorphism:
-    """f then g."""
-    if f.cod != g.dom:
-        raise ValidationError("middle groups differ in composition")
-    return FinMorphism(f.dom, g.cod, tuple(g.mapping[v] for v in f.mapping))
-
-
-def fin_is_injective(f: FinMorphism) -> bool:
-    return len(set(f.mapping)) == f.dom.order
-
-
-def fin_is_surjective(f: FinMorphism) -> bool:
-    return len(set(f.mapping)) == f.cod.order
-
-
-def kernel_set(f: FinMorphism) -> frozenset:
-    return frozenset(a for a in range(f.dom.order) if f.mapping[a] == 0)
 
 
 def submonoid_closure(g: FiniteGroup, gens) -> frozenset:

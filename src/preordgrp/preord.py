@@ -310,13 +310,15 @@ class _FiniteBackend:
         return fg.make_fin_morphism(dom, cod, mapping)
 
     def identity(self, group):
-        return fg.fin_identity(group)
+        return fg.FinMorphism(group, group, tuple(range(group.order)))
 
     def zero(self, dom, cod):
-        return fg.fin_zero_morphism(dom, cod)
+        return fg.FinMorphism(dom, cod, (0,) * dom.order)
 
     def compose(self, f, g):
-        return fg.fin_compose(f, g)
+        if f.cod != g.dom:
+            raise ValidationError("middle groups differ in composition")
+        return fg.FinMorphism(f.dom, g.cod, tuple(g.mapping[v] for v in f.mapping))
 
     def map_eq(self, f, g):
         return f.mapping == g.mapping
@@ -331,10 +333,10 @@ class _FiniteBackend:
         return group.inv(x)
 
     def injective(self, f):
-        return fg.fin_is_injective(f)
+        return len(set(f.mapping)) == f.dom.order
 
     def surjective(self, f):
-        return fg.fin_is_surjective(f)
+        return len(set(f.mapping)) == f.cod.order
 
     def generators(self, group):
         return list(range(group.order))
@@ -376,7 +378,7 @@ class _FiniteBackend:
         return fg.quotient_by_normal(group, {0, *elements})
 
     def kernel(self, f):
-        return fg.subgroup_from_set(f.dom, fg.kernel_set(f))
+        return fg.subgroup_from_set(f.dom, [a for a, v in enumerate(f.mapping) if v == 0])
 
     def subgroup(self, group, elements):
         return fg.subgroup_from_set(group, fg.submonoid_closure(group, elements))
@@ -787,7 +789,7 @@ def pullback_with_counit(f: PreOrdMor) -> PullbackSquare:
     zobj, _ = z_kernel(f)
     if X.universe == FINITE:
         # graph of f inside X x Y, presented on its first coordinate
-        ident = fg.fin_identity(X.group)
+        ident = X.backend.identity(X.group)
         to_dom, to_disc = PreOrdMor(zobj, X, ident), PreOrdMor(zobj, dy, f.map)
         return PullbackSquare(zobj, to_dom, to_disc, PreOrdMor(zobj, zobj, ident))
     be = X.backend

@@ -1,5 +1,6 @@
 """Workspace files: round-trips, comments, parse diagnostics, and fuzzing."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from preordgrp import finitegroup as fg
 from preordgrp import preord as po
 from preordgrp import probes as pr
 from preordgrp.errors import ParseError, ResourceLimitError, ValidationError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 S3, _ = fg.group_from_permutations([(1, 0, 2), (0, 2, 1)])
 
@@ -91,6 +95,81 @@ class TestRoundTrip:
         )
         obj = ff.parse_workspace(text).objects["zn"]
         assert obj.cone.to_rows() == ((1,),)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in pr.finite_catalog()] + ["S4xC2xC5", "S4xA4"]
+    )
+    def test_finite_objects_at_real_sizes(self, name):
+        # orders 240 and 288: entries of one, two and three digits
+        group = dict(pr.finite_catalog()).get(name)
+        group = group or fg.FiniteGroup(*gen.product_table(tuple(name.split("x"))))
+        ws = ff.Workspace()
+        ws.objects[name] = po.make_object(group, fg.normal_closure(group, [group.order - 1]))
+        ws.objects["full"] = full = po.make_object(group, range(group.order))
+        ws.morphisms["id"] = po.make_morphism(ws.objects[name], full, range(group.order))
+        ws.endpoints["id"] = (name, "full")
+        assert_same_workspace(ws, ff.parse_workspace(ff.format_workspace(ws)))
+
+
+def c12_text(rows):
+    """A C12 object whose table rows are the given token lists."""
+    lines = ["object c", "universe finite", "order 12", "table"]
+    return "\n".join(lines + [" ".join(row) for row in rows] + ["cone 0"]) + "\n"
+
+
+C12_ROWS = [[str((a + b) % 12) for b in range(12)] for a in range(12)]
+
+
+class TestTableTokens:
+    """Table rows of canonical tokens take a lookup; every other row is read
+    by int(), with its values and errors."""
+
+    def test_other_spellings_load_the_same_group(self):
+        rows = [row[:] for row in C12_ROWS]
+        rows[1] = [{"7": "07", "3": "+3", "10": "1_0"}.get(t, t) for t in rows[1]]
+        rows[5] = ["0" + t for t in rows[5]]
+        rows[11][0] = "\u0661\u0661"  # "11" in Arabic-Indic digits
+        group = ff.parse_workspace(c12_text(rows)).objects["c"].group
+        assert group == fg.cyclic_group(12)
+        assert group == ff.parse_workspace(c12_text(C12_ROWS)).objects["c"].group
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0 1 x 3 4 5 6 7 8 9 10 11", "expected integers, got '0 1 x 3 4 5 6 7 8 9 10 11'"),
+            ("0 1 2.0 3 4 5 6 7 8 9 10 11", "expected integers, got '0 1 2.0 3 4 5 6 7 8 9 10 11'"),
+            ("0 1 2 3 4 5 6 7 8 9 10", "expected 12 integers, got 11"),
+            ("0 1 2 3 4 5 6 7 8 9 10 11 0", "expected 12 integers, got 13"),
+            ("0 1 +2 3 4 5 6 7 8 9 10", "expected 12 integers, got 11"),
+        ],
+        ids=["letter", "decimal-point", "short", "long", "short-with-sign"],
+    )
+    def test_bad_row_errors_and_lines(self, row, message):
+        # table row 1 is line 6 (rows 0 .. 11 sit on lines 5 .. 16)
+        rows = [row.split() if a == 1 else C12_ROWS[a] for a in range(12)]
+        with pytest.raises(ParseError) as err:
+            ff.parse_workspace(c12_text(rows))
+        assert str(err.value) == f"line 6: {message}"
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("token,entry", [("12", "12"), ("-1", "-1"), ("0012", "12")])
+    def test_out_of_range_entries_reach_the_group_check(self, token, entry):
+        rows = [row[:] for row in C12_ROWS]
+        rows[3][4] = token
+        with pytest.raises(ValidationError) as err:
+            ff.parse_workspace(c12_text(rows))
+        assert str(err.value) == f"table entry at (3, 4) is {entry}"
+
+    def test_huge_order_fails_at_its_first_row(self):
+        # the lookup stops at the order cap, so the header alone allocates nothing
+        text = "object c\nuniverse finite\norder 1000000000000\ntable\n0 1\n"
+        with pytest.raises(ParseError) as err:
+            ff.parse_workspace(text)
+        assert str(err.value) == "line 5: expected 1000000000000 integers, got 2"
+
+    def test_order_above_the_cap_is_read_then_refused(self):
+        with pytest.raises(ResourceLimitError, match="group order 12 exceeds cap 5"):
+            ff.parse_workspace(c12_text(C12_ROWS), universe_cap=5)
 
 
 class TestParseErrors:

@@ -218,3 +218,40 @@ def test_light_test_decides_every_small_loop():
             else:
                 assert is_associative(rows)
     assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+
+
+def test_two_changed_entries_give_the_first_error():
+    """make_finite_group runs the group axioms before the row and column
+    scan; on a failure it falls back to the reference order."""
+    for factors in PRODUCTS:
+        rng = random.Random(f"two-changes:{'x'.join(factors)}")
+        rows = rows_of(*gen.product_table(factors))
+        n = len(rows)
+        for _ in range(4):
+            changed = [row[:] for row in rows]
+            for _ in range(2):
+                a, b = rng.randrange(n), rng.randrange(n)
+                changed[a][b] = rng.choice([rng.randrange(n), rng.randrange(n), n, True])
+            assert_same_table_outcome(changed)
+
+
+def test_a_table_failing_latin_and_associativity_reports_the_column():
+    # two entries of row 1 of S3 swapped: the row stays a permutation, two
+    # columns repeat an element and the table is no longer associative
+    rows = rows_of(*gen.permutation_group("S3"))
+    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+    assert not is_associative(rows)
+    expected = ("ValidationError", "column 2 repeats an element", 2)
+    assert outcome(fg.make_finite_group, rows) == outcome(ref.make_finite_group, rows) == expected
+
+
+def test_row_lengths_are_checked_row_by_row():
+    # the lengths sum to n * n, but row 1 is one entry long and row 2 short
+    rows = rows_of(*gen.permutation_group("A4"))
+    rows[1].append(rows[2].pop())
+    expected = ("ValidationError", "table row 1 has 13 entries, expected 12", None)
+    assert outcome(fg.make_finite_group, rows) == outcome(ref.make_finite_group, rows) == expected
+    # a bad entry in an earlier row comes first
+    rows[0][5] = 12
+    expected = ("ValidationError", "table entry at (0, 5) is 12", None)
+    assert outcome(fg.make_finite_group, rows) == outcome(ref.make_finite_group, rows) == expected

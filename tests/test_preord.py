@@ -247,7 +247,7 @@ class TestBackends:
         proj_right = fg.make_fin_morphism(v4, c2, (0, 1, 0, 1))
         fin = po.discrete_object(v4).backend
         assert fin.factor_epi(proj_right, proj_left) is None
-        assert fin.map_eq(fin.factor_epi(proj_left, proj_left), fg.fin_identity(c2))
+        assert fin.map_eq(fin.factor_epi(proj_left, proj_left), fin.identity(c2))
         first = ab.make_morphism(ZZ, Z, [[1], [0]])
         second = ab.make_morphism(ZZ, Z, [[0], [1]])
         assert ZN.backend.factor_epi(second, first) is None
