@@ -14,7 +14,8 @@ The construction commands are one table, COMMANDS: each maps a command
 to the kind of entity it takes, its construction, and the names of the
 values that construction returns.  Flag values print as `label true` or
 `label false` lines, objects and morphisms as one workspace.  The parser
-takes its construction commands from the table.
+takes its construction commands from the table.  It depends on constants
+alone, so in-process `main(argv)` calls share one, built on first use.
 
 Exit codes: 0 success or all checks passed, 1 usage, parse or write error,
 2 validation error, 3 verification failure.
@@ -22,6 +23,7 @@ Exit codes: 0 success or all checks passed, 1 usage, parse or write error,
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import fileformat as ff
 from . import finitegroup as fg
@@ -110,7 +112,7 @@ COMMANDS = {
 }
 
 
-def _construct(args) -> str:
+def _construct(args) -> tuple[str, int]:
     """Run a construction command; print flags, or the values as a workspace
     in which the first value given a name keeps it."""
     kind, build, names = COMMANDS[args.command]
@@ -121,7 +123,7 @@ def _construct(args) -> str:
         fields["dom"], fields["cod"] = ws.endpoints[args.name]
     labelled = [(name.format(**fields), value) for name, value in zip(names, build(entity))]
     if isinstance(labelled[0][1], bool):
-        return "".join(f"{label} {'true' if flag else 'false'}\n" for label, flag in labelled)
+        return "".join(f"{label} {'true' if flag else 'false'}\n" for label, flag in labelled), 0
     out = ff.Workspace()
     for label, value in labelled:
         if isinstance(value, po.PreOrdMor):
@@ -130,7 +132,7 @@ def _construct(args) -> str:
             out.endpoints[name] = tuple(ends.split(" -> "))
         else:
             out.objects.setdefault(label, value)
-    return ff.format_workspace(out)
+    return ff.format_workspace(out), 0
 
 
 def _run_check(args) -> tuple[str, int]:
@@ -144,6 +146,7 @@ def _run_check_one(args) -> tuple[str, int]:
     return v.format_certificate(cert) + "\n", 0 if cert.passed else 3
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(prog="preordgrp", description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write output to this path instead of stdout")
@@ -151,15 +154,18 @@ def build_parser() -> _Parser:
     order_cap = _int_in(1, fg.ORDER_CAP)
     for command, (kind, _, _) in COMMANDS.items():
         p = sub.add_parser(command)
+        p.set_defaults(run=_construct)
         p.add_argument("file", help="workspace file")
         p.add_argument("name", help=f"{kind} name")
         p.add_argument(
             "--universe-cap", type=order_cap, default=fg.ORDER_CAP, help="finite order cap override"
         )
     p = sub.add_parser("check")
+    p.set_defaults(run=_run_check)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_in(1), default=None)
     p = sub.add_parser("check-one")
+    p.set_defaults(run=_run_check_one)
     p.add_argument("claim", help="one of " + ", ".join(v.claim_names()))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_in(1), default=None)
@@ -180,18 +186,10 @@ def _load(args) -> ff.Workspace:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            text, code = _run_check(args)
-        elif args.command == "check-one":
-            text, code = _run_check_one(args)
-        else:
-            text, code = _construct(args), 0
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        text, code = args.run(args)
     except PreordError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ParseError) else 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

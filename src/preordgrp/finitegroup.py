@@ -296,14 +296,13 @@ def quotient_by_normal(g: FiniteGroup, nset):
     coset_of = [-1] * g.order
     reps = []
     for a in range(g.order):
-        if coset_of[a] >= 0:
-            continue
-        for x in nset:
-            coset_of[g.mul(a, x)] = len(reps)
-        reps.append(a)
-    n = len(reps)
-    table = tuple(coset_of[g.mul(reps[i], reps[j])] for i in range(n) for j in range(n))
-    quot = FiniteGroup(n, table)
+        if coset_of[a] < 0:
+            for x in nset:
+                coset_of[g.mul(a, x)] = len(reps)
+            reps.append(a)
+    # row a of the quotient: row a of g read at the representatives, then cosets
+    rows = (map(g.table[a * g.order : (a + 1) * g.order].__getitem__, reps) for a in reps)
+    quot = FiniteGroup(len(reps), tuple(map(coset_of.__getitem__, chain.from_iterable(rows))))
     proj = make_fin_morphism(g, quot, tuple(coset_of))
     return quot, proj
 

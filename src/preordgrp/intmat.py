@@ -515,6 +515,8 @@ def nonneg_search(
     cols = _congruence_columns(gens, modulus, x)
     if vec_is_zero(x):
         return (0,) * k, 0
+    if solve_left(hnf_reduced(gens.stack(modulus)), x) is None:
+        return None, 0  # not even an integer combination: no search
     basis, visited = _hilbert_completion(cols, state_cap, early=lambda s: s[k] == 1)
     for sol in basis:
         if sol[k] == 1:
@@ -533,12 +535,13 @@ def nonneg_feasible(
 ) -> Vec | None:
     """Coefficients a >= 0 with x - a*gens in rowspan(modulus), or None.
 
-    Decided on the congruence system a*gens = y*x modulo the lattice, written
-    in the Smith coordinates of modulus (see _congruence_columns).  Its
-    Hilbert basis has an element with y = 1 exactly when x is feasible: such
-    an element gives a certificate, and a solution (a, 1) splits into basis
-    elements whose y coordinates sum to 1.  The search stops at the first
-    level holding one, and the certificate is re-checked against an HNF of
-    modulus.
+    An x outside the integer row span of gens and modulus is rejected with
+    no search.  Otherwise it is decided on the congruence system a*gens =
+    y*x modulo the lattice, written in the Smith coordinates of modulus (see
+    _congruence_columns).  Its Hilbert basis has an element with y = 1
+    exactly when x is feasible: such an element gives a certificate, and a
+    solution (a, 1) splits into basis elements whose y coordinates sum to 1.
+    The search stops at the first level holding one, and the certificate is
+    re-checked against an HNF of modulus.
     """
     return nonneg_search(gens, modulus, x, state_cap)[0]

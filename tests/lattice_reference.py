@@ -1,10 +1,14 @@
 """Reference lattice arithmetic for the tests: determinants and integer solving.
 
 `determinant` is Bareiss's fraction-free elimination, which shares no code
-with the Hermite and Smith forms it checks.  `solve_integer` answers lattice
+with the Hermite and Smith forms it checks; `in_integer_span` answers
+lattice membership from its minors alone.  `solve_integer` answers lattice
 membership from one Hermite form; the tests use it as an oracle for kernels
 and zero-sum solutions.
 """
+
+import itertools
+import math
 
 from preordgrp.errors import DimensionError
 from preordgrp.intmat import IntMatrix, Vec, hermite_normal_form, row_times_matrix, solve_left
@@ -44,3 +48,25 @@ def solve_integer(a: IntMatrix, b: Vec) -> Vec | None:
     if y is None:
         return None
     return row_times_matrix(y, u)
+
+
+def _minors_gcd(m: IntMatrix, k: int) -> int:
+    """gcd of the k x k minors of m: 1 for k = 0, 0 when all vanish."""
+    return math.gcd(*(
+        determinant(IntMatrix.from_rows([[m.entry(r, c) for c in cs] for r in rs], cols=k))
+        for rs in itertools.combinations(range(m.rows), k)
+        for cs in itertools.combinations(range(m.cols), k)
+    ))
+
+
+def in_integer_span(m: IntMatrix, x: Vec) -> bool:
+    """x lies in the integer row span of m.
+
+    Appending x to m's rows gives a lattice holding m's.  When both have
+    rank r = rank(m), m's has index d_r(m) / d_r(m, x) in it, where d_r is
+    the gcd of the r x r minors; so x lies in m's lattice exactly when the
+    rank stays r and d_r stays the same.
+    """
+    with_x = IntMatrix.from_rows([*m.to_rows(), tuple(x)], cols=m.cols)
+    r = max(k for k in range(min(m.rows, m.cols) + 1) if _minors_gcd(m, k))
+    return _minors_gcd(with_x, r + 1) == 0 and _minors_gcd(with_x, r) == _minors_gcd(m, r)

@@ -94,6 +94,42 @@ class TestParser:
         assert helps["check"] == []
 
 
+class TestParserReuse:
+    """In-process main calls share one parser; no call leaks into the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_out_does_not_stick(self, workspace_file, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        assert cli.main(["--out", str(target), "kernel", workspace_file, "sgn"]) == 0
+        written = target.read_text()
+        assert capsys.readouterr().out == ""
+        assert cli.main(["kernel", workspace_file, "sgn"]) == 0
+        assert capsys.readouterr().out == written
+        assert target.read_text() == written
+
+    def test_usage_error_leaves_no_trace(self, workspace_file, capsys):
+        argv = ["classify-mor", workspace_file, "sgn"]
+        cli.build_parser.cache_clear()
+        first = cli.main(argv), capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["classify-mor", workspace_file])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: preordgrp classify-mor")
+        assert (cli.main(argv), capsys.readouterr()) == first
+
+    def test_samples_do_not_stick(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli.v, "run_claim",
+            lambda name, seed, samples: seen.append(samples) or v.Certificate(name, "pass", ()),
+        )
+        assert cli.main(["check-one", "intsolve", "--samples", "7"]) == 0
+        assert cli.main(["check-one", "intsolve"]) == 0
+        assert seen == [7, None]
+
+
 class TestChecks:
     def test_check_one_passes(self, capsys):
         assert cli.main(["check-one", "completion", "--samples", "3"]) == 0

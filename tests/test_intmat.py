@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_reference import reference_completion, sign_split_search, sign_split_zero_sums
-from lattice_reference import determinant, solve_integer
+from lattice_reference import determinant, in_integer_span, solve_integer
 from preordgrp import intmat
 from preordgrp import preord as po
 from preordgrp.errors import DimensionError, ResourceLimitError
@@ -365,6 +365,17 @@ class TestNonnegFeasible:
     def test_zero_target(self):
         assert nonneg_feasible(IntMatrix.from_rows([[5]]), IntMatrix.zeros(0, 1), (0,)) == (0,)
 
+    def test_no_integer_combination_needs_no_search(self):
+        # The completion took 275,479 states to answer None here, and the
+        # sign-split system 2,861; x is no integer combination at all.
+        gens = IntMatrix.from_rows([[0, 1, 1], [5, -3, -5]])
+        modulus = IntMatrix.from_rows([[5, 0, 4]])
+        x = (4, -2, -2)
+        assert not in_integer_span(gens.stack(modulus), x)
+        assert sign_split_search(gens, modulus, x, 20_000)[0] is None
+        assert nonneg_search(gens, modulus, x) == (None, 0)
+        assert nonneg_search(gens, modulus, x, state_cap=0) == (None, 0)
+
     def test_corrupted_certificate_raises_under_optimize(self):
         # The re-check must not be an assert: python -O strips those.
         code = (
@@ -488,7 +499,8 @@ class TestAgainstReferenceLoop:
             for early in (None, lambda s: s[-1] == 1):
                 assert _same_as_reference(m, early) == m.cols
         none = IntMatrix.zeros(0, 2)
-        assert nonneg_search(none, none, (1, 0)) == (None, 1)
+        # (1, 0) is no integer combination of no rows, so no search runs
+        assert nonneg_search(none, none, (1, 0)) == (None, 0)
         assert nonneg_search(IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0), ()) == ((0, 0, 0), 0)
         assert monoid_zero_solutions(none, none) == ()
         assert monoid_zero_solutions(IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 0)) == ((0, 1), (1, 0))
@@ -511,8 +523,9 @@ class TestAgainstReferenceLoop:
         _same_as_reference(IntMatrix.from_rows(rows, cols=n), early, cap)
 
     def test_membership_visits_as_many_states(self):
-        # nonneg_search runs the completion on the congruence columns over
-        # (a, y, slacks), stopping at the first level with y = 1.
+        # nonneg_search answers (None, 0) when x is no integer combination of
+        # gens and mod; otherwise it runs the completion on the congruence
+        # columns over (a, y, slacks), stopping at the first level with y = 1.
         rng = random.Random(314)
         for _ in range(40):
             n = rng.randint(1, 3)
@@ -525,11 +538,14 @@ class TestAgainstReferenceLoop:
             x = tuple(rng.randint(-5, 5) for _ in range(n))
             if not any(x):
                 continue
+            got = _outcome(lambda: nonneg_search(gens, mod, x, 20_000))
+            if not in_integer_span(gens.stack(mod), x):
+                assert got == (None, 0)
+                continue
             k = gens.rows
             columns = _congruence_columns(gens, mod, x)
             system = transpose(IntMatrix.from_rows(columns, cols=len(columns[0])))
             ref = _outcome(lambda: reference_completion(system, 20_000, lambda s: s[k] == 1))
-            got = _outcome(lambda: nonneg_search(gens, mod, x, 20_000))
             assert (ref is po.UNDECIDED) == (got is po.UNDECIDED)
             if ref is not po.UNDECIDED:
                 assert got[1] == ref[1]
