@@ -25,6 +25,7 @@ Conventions fixed here and relied on elsewhere:
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionError, ResourceLimitError
 
@@ -215,6 +216,13 @@ def hnf_reduced(m: IntMatrix) -> IntMatrix:
     h, _ = hermite_normal_form(m)
     rows = [h.row(i) for i in range(h.rows) if not vec_is_zero(h.row(i))]
     return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+@lru_cache(maxsize=4096)
+def integer_span(gens: IntMatrix, modulus: IntMatrix) -> IntMatrix:
+    """hnf_reduced(gens stacked on modulus): the canonical basis of the
+    integer combinations of both, cached since membership queries repeat."""
+    return hnf_reduced(gens.stack(modulus))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -512,11 +520,11 @@ def nonneg_search(
 ) -> tuple[Vec | None, int]:
     """nonneg_feasible's answer and the number of Hilbert states it visited."""
     k = gens.rows
-    cols = _congruence_columns(gens, modulus, x)
     if vec_is_zero(x):
         return (0,) * k, 0
-    if solve_left(hnf_reduced(gens.stack(modulus)), x) is None:
+    if solve_left(integer_span(gens, modulus), x) is None:
         return None, 0  # not even an integer combination: no search
+    cols = _congruence_columns(gens, modulus, x)
     basis, visited = _hilbert_completion(cols, state_cap, early=lambda s: s[k] == 1)
     for sol in basis:
         if sol[k] == 1:

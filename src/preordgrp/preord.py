@@ -59,7 +59,7 @@ from .intmat import (
     HILBERT_STATE_CAP,
     IntMatrix,
     Vec,
-    hnf_reduced,
+    integer_span,
     monoid_zero_solutions,
     nonneg_search,
     solve_left,
@@ -87,11 +87,6 @@ def _first_of_each(options, key):
             seen.add(k)
             out.append((name, value))
     return out
-
-
-@lru_cache(maxsize=4096)
-def _cone_span(gens: IntMatrix, relations: IntMatrix) -> IntMatrix:
-    return hnf_reduced(gens.stack(relations))
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +243,7 @@ class _AbelianBackend:
         cone; raises ValidationError when the rows drawn give none."""
         rows = [[rng.randint(-3, 3) for _ in range(cod.group.rank)] for _ in range(dom.group.rank)]
         f = ab.make_morphism(dom.group, cod.group, rows)
-        span = _cone_span(cod.cone, cod.group.relations)
+        span = integer_span(cod.cone, cod.group.reduced_relations)
         if all(solve_left(span, ab.apply(f, x)) is not None for x in self.cone_elements(dom.cone)):
             return f
         raise ValidationError("a cone image lies outside the span of the codomain cone")
@@ -278,7 +273,7 @@ class _AbelianBackend:
         relations = obj.group.relations
 
         def span(gens):
-            return hnf_reduced(IntMatrix.from_rows(gens, cols=relations.cols).stack(relations))
+            return integer_span(IntMatrix.from_rows(gens, cols=relations.cols), relations)
 
         return _first_of_each(options, span)
 

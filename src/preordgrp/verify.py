@@ -1,6 +1,6 @@
 """Machine checks for the universal properties of the constructions.
 
-Every check returns a Certificate: a claim name, pass/fail, counters, and
+Every claim returns a Certificate: a claim name, pass/fail, counters, and
 witness lines describing each failure.  Checks are deterministic: a probe
 suite is a seed and a per-pair sample count, probes come from the fixed
 library, and all sampling derives from labelled streams of the seed, so
@@ -11,17 +11,19 @@ a factorization through a morphism is unique exactly when the morphism
 is injective (dually, surjective) on the underlying groups, because two
 factorizations differ by a morphism into its kernel.
 
-Each universal-property verifier also knows how to build deliberately
-corrupted candidates (enlarged or punctured cones, skipped quotient
-generators, forgotten collapse generators); claim runners require every
-applicable corruption to fail its check.  Verifiers and mutants are
-written once on top of the preord backends.
-
-The claims live in one table, CLAIMS: each row names a claim, its default
-sample count and its runner.  Sweep claims share one runner, which checks
-sampled morphisms with a witness function and, within a mutation budget,
-requires every mutant to be caught; the others run a verifier on the
-probe suite and once more with a corrupted construction.
+The claims live in one table, CLAIMS.  A row builds its cases from the
+seed and the sample count, checks a case into witnesses and counters, and
+may name a mutant source: the (kind, replacement) pairs of wrong
+constructions the check of a case must catch.  One driver, _run, checks
+every case, then reruns the check with each replacement as a keyword
+argument until _MUTATION_BUDGET runs are spent, requiring a witness from
+each.  Sweep claims replace the kernel, cokernel or square of a sampled
+morphism by a `candidate` with an enlarged or punctured cone or a skipped
+quotient generator.  Suite claims take the construction they check:
+`classify`, `collapse`, `torsion_ses`, `units` or `comparison`.  Each
+replacement is wrong on one probe only, so a rerun does a clean run's
+work; one wrong everywhere would make `pretorsion` draw many more pair
+samples.  `ztrivial-*` and `intsolve` have no mutants.
 
 The unit computations are checked against the cone elements whose inverse
 lies in the cone, found by membership queries: the torsion part in
@@ -34,8 +36,8 @@ an inverse of one of its elements before building its completion.
 """
 
 import hashlib
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import monpos as mp
 from . import preord as po
@@ -64,12 +66,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-def _certificate(claim: str, stats: dict, witnesses) -> Certificate:
-    packed = tuple(sorted(stats.items()))
-    witnesses = tuple(witnesses)
-    return Certificate(claim, "fail" if witnesses else "pass", packed, witnesses)
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -198,7 +194,7 @@ def _punctured(obj: po.PreOrdObj):
 def _zker_witnesses(m, suite, candidate=None):
     true_kobj, true_k = po.z_kernel(m)
     kobj, k = candidate if candidate is not None else (true_kobj, true_k)
-    stats = {}
+    stats = {"morphisms": 1}
     witnesses = []
     key = _mor_key(m)
     composite = po.compose_preord(k, m)
@@ -262,7 +258,7 @@ def z_kernel_mutants(m: po.PreOrdMor):
 def _zcok_witnesses(m, suite, candidate=None):
     true_qobj, true_q = po.z_cokernel(m)
     qobj, q = candidate if candidate is not None else (true_qobj, true_q)
-    stats = {}
+    stats = {"morphisms": 1}
     witnesses = []
     key = _mor_key(m)
     if not po.is_z_trivial(po.compose_preord(m, q)):
@@ -341,8 +337,9 @@ def _invertible_part(X: po.PreOrdObj) -> po.PreOrdObj:
     return po.make_object(X.group, invertible)
 
 
-def verify_pretorsion_axioms(suite: ProbeSuite, corrupt=None) -> Certificate:
-    """Torsion/torsion-free split: classification, exactness, vanishing."""
+def verify_pretorsion_axioms(suite: ProbeSuite, classify=lambda obj: po.classify_object(obj)):
+    """Torsion/torsion-free split: classification, exactness, vanishing;
+    po.classify_object checks the probes that classify lists."""
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
@@ -368,13 +365,11 @@ def verify_pretorsion_axioms(suite: ProbeSuite, corrupt=None) -> Certificate:
                 and be.map_eq(zc_mor.map, seq.eta.map)
             ):
                 witnesses.append(f"{probe.name}: right leg is not the relative cokernel of the left leg")
-            cls = po.classify_object(probe.obj)
+            cls = classify(probe.obj)
             if cls.torsion:
                 torsion_pool.append(probe)
             if cls.torsion_free:
                 free_pool.append(probe)
-        # corrupted classification: the named probe is listed as torsion too
-        torsion_pool += [probe for probe in pr.probes_for(universe) if probe.name == corrupt]
         for pa in torsion_pool:
             if not po.classify_object(pa.obj).torsion:
                 witnesses.append(f"{pa.name}: listed as torsion but has an untouched generator")
@@ -389,7 +384,7 @@ def verify_pretorsion_axioms(suite: ProbeSuite, corrupt=None) -> Certificate:
                         witnesses.append(
                             f"{pa.name}->{pb.name}#{j}: torsion to torsion-free morphism does not vanish"
                         )
-    return _certificate("pretorsion", stats, witnesses)
+    return witnesses, stats
 
 
 # --- trivial-morphism characterization -------------------------------------
@@ -408,21 +403,31 @@ def _factors_through_discrete_image(m: po.PreOrdMor) -> bool:
     return po.mor_eq(po.compose_preord(leg, rest), m)
 
 
+def _ztrivial_witnesses(m: po.PreOrdMor, suite: ProbeSuite):
+    """The cone test of z-triviality against the factorization test."""
+    stats = {"morphisms": 1}
+    direct = po.is_z_trivial(m)
+    factored = _factors_through_discrete_image(m)
+    if direct:
+        _bump(stats, "vanishing")
+    if direct == factored:
+        return [], stats
+    return [f"{_mor_key(m)}: cone test says {direct}, factorization says {factored}"], stats
+
+
 # --- adjoint triple --------------------------------------------------------
 
 
-def _corrupt_collapse(X: po.PreOrdObj):
+def _forgetful_collapse(X: po.PreOrdObj):
     """A collapse candidate built after forgetting one cone generator."""
     be = X.backend
     elements = be.cone_elements(X.cone)
-    if not elements:
-        return po.functor_C(X)
     group, projm = be.quotient(X.group, be.normal_closure(X.group, elements[:-1]))
     cobj = po.discrete_object(group)
     return cobj, po.PreOrdMor(X, cobj, projm)
 
 
-def verify_adjunctions(suite: ProbeSuite, corrupt=None) -> Certificate:
+def verify_adjunctions(suite: ProbeSuite, collapse=lambda obj: po.functor_C(obj)):
     """Discrete inclusion has a right adjoint (D) and a left adjoint (C)."""
     stats = {}
     witnesses = []
@@ -442,10 +447,7 @@ def verify_adjunctions(suite: ProbeSuite, corrupt=None) -> Certificate:
             if X.cone == dx.cone and not po.mor_eq(iota, po.identity_preord(X)):
                 witnesses.append(f"{probe.name}: counit on a discrete object is not the identity")
 
-            if corrupt is not None and probe.name == corrupt:
-                cobj, pi = _corrupt_collapse(X)
-            else:
-                cobj, pi = po.functor_C(X)
+            cobj, pi = collapse(X)
             be = X.backend
             if not po.is_z_trivial(pi):
                 witnesses.append(f"{probe.name}: unit does not collapse the cone")
@@ -495,7 +497,7 @@ def verify_adjunctions(suite: ProbeSuite, corrupt=None) -> Certificate:
                         po.compose_preord(pis, po.functor_C_mor(f)),
                     ):
                         witnesses.append(f"{source.name}->{probe.name}: unit is not natural")
-    return _certificate("adjunction", stats, witnesses)
+    return witnesses, stats
 
 
 # --- pullback / pushout characterizations ----------------------------------
@@ -516,13 +518,12 @@ def _pullback_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
     return mor
 
 
-def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
-    stats = {}
+def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
+    stats = {"morphisms": 1}
     witnesses = []
     key = _mor_key(m)
     true_square = po.pullback_with_counit(m)
-    if square is None:
-        square = true_square
+    square = true_square if candidate is None else candidate
     iota = po.counit_iota(m.cod)
     left = po.compose_preord(square.to_dom, m)
     right = po.compose_preord(square.to_discrete, iota)
@@ -598,12 +599,11 @@ def _pushout_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
     return mor
 
 
-def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, square=None):
-    stats = {}
+def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
+    stats = {"morphisms": 1}
     witnesses = []
     key = _mor_key(m)
-    if square is None:
-        square = po.pushout_with_unit(m)
+    square = po.pushout_with_unit(m) if candidate is None else candidate
     cx, pi = po.functor_C(m.dom)
     left = po.compose_preord(m, square.from_cod)
     right = po.compose_preord(pi, square.from_stable)
@@ -647,7 +647,7 @@ def pushout_mutants(m: po.PreOrdMor):
 # --- torsion theory in the stable category ---------------------------------
 
 
-def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
+def verify_mon_torsion_theory(suite: ProbeSuite, torsion_ses=lambda m: mp.torsion_ses(m)):
     """Units/reduced split is a torsion theory in the stable category."""
     stats = {}
     witnesses = []
@@ -657,11 +657,7 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
         reduced_pool = []
         root = DetRng.from_seed(suite.seed).child("mon-torsion").child(universe)
         for name, m in monoids:
-            ses = mp.torsion_ses(m)
-            if corrupt is not None and name == corrupt:
-                # corrupted construction: pretend every element is a unit
-                whole = po.identity_preord(mp.completion_object(m))
-                ses = po.CanonicalSeq(m, whole, m, ses.torsion_free, ses.eta)
+            ses = torsion_ses(m)
             _bump(stats, "monoids")
             if not po.classify_object(ses.torsion).torsion:
                 witnesses.append(f"{name}: unit part is not a group")
@@ -703,7 +699,7 @@ def verify_mon_torsion_theory(suite: ProbeSuite, corrupt=None) -> Certificate:
                 _bump(stats, "group-to-reduced")
                 if not po.is_z_trivial(h):
                     witnesses.append(f"{gname}->{rname}: group to reduced morphism is not zero")
-    return _certificate("mon-torsion", stats, witnesses)
+    return witnesses, stats
 
 
 # --- the cone functor is a torsion theory functor --------------------------
@@ -725,7 +721,15 @@ def _special_ses(obj: po.PreOrdObj, subgroup):
     return (incl, *po.cokernel(incl))
 
 
-def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certificate:
+def _punctured_units(m: po.PreOrdObj):
+    """mp.units(m) with the last generator of the unit monoid dropped."""
+    unit_obj, incl = mp.units(m)
+    be = m.backend
+    last = len(be.cone_elements(unit_obj.cone)) - 1
+    return po.PreOrdObj(m.group, be.cone_without(unit_obj.cone, last)), incl
+
+
+def verify_p_torsion_theory_functor(suite: ProbeSuite, units=lambda m: mp.units(m)):
     """The cone functor P is a torsion-theory functor (see the module docstring)."""
     stats = {}
     witnesses = []
@@ -735,14 +739,9 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
         for probe in probes:
             X = probe.obj
             be = X.backend
-            units, _ = mp.units(mp.positive_cone(X))
-            unit_gens = be.cone_elements(units.cone)
-            if corrupt == probe.name and unit_gens:
-                # corrupted construction: drop a generator of the unit monoid
-                smaller = be.cone_without(units.cone, len(unit_gens) - 1)
-                units = po.PreOrdObj(X.group, smaller)
+            unit_obj, _ = units(mp.positive_cone(X))
             _bump(stats, "probes")
-            if not _same_cone(units, _invertible_part(X)):
+            if not _same_cone(unit_obj, _invertible_part(X)):
                 witnesses.append(f"{probe.name}: unit monoid differs from the invertible part")
             # functoriality on sampled composable pairs
             for other in probes[:3]:
@@ -762,13 +761,13 @@ def verify_p_torsion_theory_functor(suite: ProbeSuite, corrupt=None) -> Certific
                     witnesses.append(f"{probe.name}/{hname}: cone of the projection is not zero")
                 if not po.is_z_trivial(po.identity_preord(mp.positive_cone(quot))):
                     witnesses.append(f"{probe.name}/{hname}: quotient cone is not trivial")
-    return _certificate("p-functor", stats, witnesses)
+    return witnesses, stats
 
 
 # --- completion comparison --------------------------------------------------
 
 
-def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
+def verify_completion_theorem(suite: ProbeSuite, comparison=lambda m: mp.comparison_morphism(m)):
     """Completion embeds, quotient is exact, and the cone round-trips."""
     stats = {}
     witnesses = []
@@ -781,10 +780,7 @@ def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
             if m.universe == po.FINITE and not _same_cone(_invertible_part(m), m):
                 witnesses.append(f"{name}: cone fails the common-multiple condition")
                 continue
-            cmpr = mp.comparison_morphism(m)
-            if corrupt is not None and name == corrupt:
-                # corrupted construction: embed through the zero morphism
-                cmpr = po.zero_preord(cmpr.dom, cmpr.cod)
+            cmpr = comparison(m)
             if not po.classify_morphism(cmpr).mono:
                 witnesses.append(f"{name}: comparison is not mono")
             qobj, q = po.cokernel(cmpr)
@@ -797,7 +793,7 @@ def verify_completion_theorem(suite: ProbeSuite, corrupt=None) -> Certificate:
             fhat = mp.fhat_consistency(m)
             if not po.is_isomorphism(fhat):
                 witnesses.append(f"{name}: completed cone does not recover the monoid")
-    return _certificate("completion", stats, witnesses)
+    return witnesses, stats
 
 
 # --- integer-solver cross-checks -------------------------------------------
@@ -885,7 +881,7 @@ def _check_feasible_instance(gens, relations, target, stats, witnesses, tag):
             witnesses.append(f"{tag}: certificate {got} does not reach {target}")
 
 
-def verify_integer_solvers(seed: int = 0, samples: int = 120) -> Certificate:
+def verify_integer_solvers(seed: int = 0, samples: int = 120):
     """Cross-check the minimal-solution and membership solvers by brute force.
 
     Covers an exhaustive grid of one-equation systems and one-dimensional
@@ -937,131 +933,132 @@ def verify_integer_solvers(seed: int = 0, samples: int = 120) -> Certificate:
         else:
             target = tuple(rng.randint(-6, 6) for _ in range(dim))
         _check_feasible_instance(gens, relations, target, stats, witnesses, f"feasible{i}")
-    return _certificate("intsolve", stats, witnesses)
+    return witnesses, stats
 
 
 # --- the claim table --------------------------------------------------------
 
 
-def _sweep_morphisms(universe: str, seed: int, count: int, label: str):
-    root = DetRng.from_seed(seed).child(label).child(universe)
-    return [pr.random_morphism_sample(root.child(i), universe) for i in range(count)]
+@dataclass(frozen=True)
+class ClaimSpec:
+    """check(*case) gives (witnesses, stats) for each case of
+    cases(seed, samples); check(*case, **replacement) must give a witness
+    for each (kind, replacement) of mutants(*case)."""
+
+    name: str
+    samples: int  # default sample count
+    cases: object  # (seed, samples) -> [case, ...], each a tuple of arguments
+    check: object
+    mutants: object = None  # case -> ((kind, replacement), ...), or None
 
 
 _MUTATION_BUDGET = 12
 
 
-def _claim_sweep(label, universe, witnesses_of, mutants_of, seed, samples):
-    """Check every sampled morphism with witnesses_of(m, suite, candidate).
-
-    Until _MUTATION_BUDGET mutant runs are spent, each (kind, candidate)
-    of mutants_of(m) must draw a witness too.
-    """
-    suite = default_suite(seed)
+def _run(spec: ClaimSpec, seed: int, samples: int) -> Certificate:
+    """Check every case, then each case's mutants until _MUTATION_BUDGET runs are spent."""
     stats = {}
     witnesses = []
-    mutation_runs = 0
-    for m in _sweep_morphisms(universe, seed, samples, label):
-        w, s = witnesses_of(m, suite)
-        witnesses += w
-        _bump(stats, "morphisms")
-        for k, v in s.items():
-            _bump(stats, k, v)
-        if mutation_runs < _MUTATION_BUDGET:
-            for kind, candidate in mutants_of(m):
-                mw, _ = witnesses_of(m, suite, candidate)
-                mutation_runs += 1
-                _bump(stats, "mutations")
-                if not mw:
-                    witnesses.append(f"{_mor_key(m)}: mutation {kind} went undetected")
-    if mutation_runs == 0:
+    runs = 0
+    for case in spec.cases(seed, samples):
+        found, counts = spec.check(*case)
+        witnesses += found
+        for label, n in counts.items():
+            _bump(stats, label, n)
+        if spec.mutants is None or runs >= _MUTATION_BUDGET:
+            continue
+        for kind, replacement in spec.mutants(*case):
+            found, _ = spec.check(*case, **replacement)
+            runs += 1
+            if not found:
+                witnesses.append(f"{kind} went undetected")
+    if runs:
+        stats["mutations"] = runs
+    elif spec.mutants is not None:
         witnesses.append("no applicable mutations were generated")
-    return _certificate(f"{label}-{universe}", stats, witnesses)
+    status = "fail" if witnesses else "pass"
+    return Certificate(spec.name, status, tuple(sorted(stats.items())), tuple(witnesses))
 
 
-def _claim_ztrivial(universe, seed, samples):
-    stats = {}
-    witnesses = []
-    for m in _sweep_morphisms(universe, seed, samples, "ztrivial"):
-        _bump(stats, "morphisms")
-        direct = po.is_z_trivial(m)
-        factored = _factors_through_discrete_image(m)
-        if direct:
-            _bump(stats, "vanishing")
-        if direct != factored:
-            witnesses.append(
-                f"{_mor_key(m)}: cone test says {direct}, factorization says {factored}"
-            )
-    return _certificate(f"ztrivial-{universe}", stats, witnesses)
+def _sweep(label, universe, samples, check, mutants_of=None):
+    """check(m, suite) on sampled morphisms; mutants_of(m) gives the
+    (kind, candidate) pairs that replace the construction under test."""
+
+    def cases(seed, count):
+        root = DetRng.from_seed(seed).child(label).child(universe)
+        suite = default_suite(seed)
+        return [(pr.random_morphism_sample(root.child(i), universe), suite) for i in range(count)]
+
+    def mutants(m, suite):
+        key = _mor_key(m)
+        return [(f"{key}: mutation {kind}", {"candidate": c}) for kind, c in mutants_of(m)]
+
+    return ClaimSpec(f"{label}-{universe}", samples, cases, check, mutants_of and mutants)
 
 
-def _claim_with_corrupt(name, fn, corrupt, note, seed, samples):
-    """fn on the suite must pass, and fn with a corrupted construction fail."""
-    suite = default_suite(seed, samples)
-    cert = fn(suite)
-    stats = dict(cert.stats)
-    witnesses = list(cert.witnesses)
-    mutated = fn(suite, corrupt)
-    _bump(stats, "mutations")
-    if mutated.passed:
-        witnesses.append(f"{note} went undetected")
-    return _certificate(name, stats, witnesses)
+def _on_probe(name: str, wrong, right):
+    """wrong on the object of the probe called name, right on any other."""
+    probes = (p for u in (po.ABELIAN, po.FINITE) for p in pr.probes_for(u))
+    target = next(p.obj for p in probes if p.name == name)
+    return lambda obj: wrong(obj) if obj == target else right(obj)
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
-    name: str
-    samples: int  # default sample count
-    run: object  # (seed, samples) -> Certificate
+def _suite(name, check, note, keyword, probe, wrong, right):
+    """check(suite) on the probe suite; its one mutant passes as `keyword`
+    the construction that is wrong on `probe` alone."""
 
+    def cases(seed, samples):
+        return [(default_suite(seed, samples),)]
 
-def _sweep(label, universe, samples, witnesses_of, mutants_of):
-    run = partial(_claim_sweep, label, universe, witnesses_of, mutants_of)
-    return ClaimSpec(f"{label}-{universe}", samples, run)
+    def mutants(suite):
+        return [(note, {keyword: _on_probe(probe, wrong, right)})]
 
-
-def _ztrivial(universe, samples):
-    return ClaimSpec(f"ztrivial-{universe}", samples, partial(_claim_ztrivial, universe))
-
-
-def _corrupted(name, samples, fn, corrupt, note):
-    return ClaimSpec(name, samples, partial(_claim_with_corrupt, name, fn, corrupt, note))
+    return ClaimSpec(name, 50, cases, check, mutants)
 
 
 # Rows reach public functions through lambdas or functions that look them
 # up when the claim runs, so a tracer that rebinds module functions sees
-# those calls.
+# those calls; building the table builds no mutant and reads no probe.
 CLAIMS = (
     _sweep("zker-up", po.ABELIAN, 40, _zker_witnesses, lambda m: z_kernel_mutants(m)),
     _sweep("zker-up", po.FINITE, 40, _zker_witnesses, lambda m: z_kernel_mutants(m)),
     _sweep("zcok-up", po.ABELIAN, 40, _zcok_witnesses, lambda m: z_cokernel_mutants(m)),
     _sweep("zcok-up", po.FINITE, 40, _zcok_witnesses, lambda m: z_cokernel_mutants(m)),
-    _corrupted(
-        "pretorsion", 50, lambda *a: verify_pretorsion_axioms(*a), "Z-even",
-        "mislabelled torsion probe",
+    _suite(
+        "pretorsion", lambda *a, **kw: verify_pretorsion_axioms(*a, **kw),
+        "mislabelled torsion probe", "classify", "Z-even",
+        lambda obj: replace(po.classify_object(obj), torsion=True),
+        lambda obj: po.classify_object(obj),
     ),
-    _ztrivial(po.ABELIAN, 120),
-    _ztrivial(po.FINITE, 120),
-    _corrupted(
-        "adjunction", 50, lambda *a: verify_adjunctions(*a), "Z-natural",
-        "forgotten collapse generator",
+    _sweep("ztrivial", po.ABELIAN, 120, _ztrivial_witnesses),
+    _sweep("ztrivial", po.FINITE, 120, _ztrivial_witnesses),
+    _suite(
+        "adjunction", lambda *a, **kw: verify_adjunctions(*a, **kw),
+        "forgotten collapse generator", "collapse", "Z-natural",
+        _forgetful_collapse, lambda obj: po.functor_C(obj),
     ),
     _sweep("gjm-pullback", po.ABELIAN, 30, _pullback_witnesses, lambda m: pullback_mutants(m)),
     _sweep("gjm-pullback", po.FINITE, 30, _pullback_witnesses, lambda m: pullback_mutants(m)),
     _sweep("gjm-pushout", po.ABELIAN, 30, _pushout_witnesses, lambda m: pushout_mutants(m)),
-    _corrupted(
-        "mon-torsion", 50, lambda *a: verify_mon_torsion_theory(*a), "Z-natural",
-        "inflated unit monoid",
+    _suite(
+        "mon-torsion", lambda *a, **kw: verify_mon_torsion_theory(*a, **kw),
+        "inflated unit monoid", "torsion_ses", "Z-natural",
+        lambda m: replace(
+            mp.torsion_ses(m), torsion=m, kappa=po.identity_preord(mp.completion_object(m))
+        ),
+        lambda m: mp.torsion_ses(m),
     ),
-    _corrupted(
-        "p-functor", 50, lambda *a: verify_p_torsion_theory_functor(*a), "Z-group-cone",
-        "punctured unit monoid",
+    _suite(
+        "p-functor", lambda *a, **kw: verify_p_torsion_theory_functor(*a, **kw),
+        "punctured unit monoid", "units", "Z-group-cone",
+        _punctured_units, lambda m: mp.units(m),
     ),
-    _corrupted(
-        "completion", 50, lambda *a: verify_completion_theorem(*a), "Z-natural",
-        "collapsed comparison",
+    _suite(
+        "completion", lambda *a, **kw: verify_completion_theorem(*a, **kw),
+        "collapsed comparison", "comparison", "Z-natural",
+        lambda m: po.zero_preord(mp.completion_object(m), m), lambda m: mp.comparison_morphism(m),
     ),
-    ClaimSpec("intsolve", 120, lambda seed, samples: verify_integer_solvers(seed, samples)),
+    ClaimSpec("intsolve", 120, lambda seed, n: [(seed, n)], lambda *a: verify_integer_solvers(*a)),
 )
 
 DEFAULT_SAMPLES = {spec.name: spec.samples for spec in CLAIMS}
@@ -1074,7 +1071,7 @@ def claim_names() -> tuple:
 def run_claim(name: str, seed: int = 0, samples: int | None = None) -> Certificate:
     for spec in CLAIMS:
         if spec.name == name:
-            return spec.run(seed, spec.samples if samples is None else samples)
+            return _run(spec, seed, spec.samples if samples is None else samples)
     raise ValidationError(f"unknown claim {name!r}")
 
 

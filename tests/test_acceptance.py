@@ -44,6 +44,7 @@ def test_criterion_1_relative_kernel_and_cokernel_formulas():
 def test_criterion_2_pretorsion_axioms():
     cert = v.run_claim("pretorsion")
     assert _stat(cert, "sequences") >= 14  # every probe decomposes
+    assert _stat(cert, "mutations") >= 1
     _conclude(2, [cert])
 
 
@@ -60,6 +61,7 @@ def test_criterion_4_adjoint_triple():
     cert = v.run_claim("adjunction")
     assert _stat(cert, "counit-factorizations") > 0
     assert _stat(cert, "unit-factorizations") > 0
+    assert _stat(cert, "mutations") >= 1
     _conclude(4, [cert])
 
 
@@ -71,21 +73,25 @@ def test_criterion_5_pullback_and_pushout_characterizations():
     ]
     for cert in certs:
         assert _stat(cert, "morphisms") == 100, cert.claim
+        assert _stat(cert, "mutations") >= 1, cert.claim
     _conclude(5, certs)
 
 
 def test_criterion_6_torsion_theory_in_nonneg_monoids():
     cert = v.run_claim("mon-torsion")
+    assert _stat(cert, "mutations") >= 1
     _conclude(6, [cert])
 
 
 def test_criterion_7_positive_cone_torsion_theory_functor():
     cert = v.run_claim("p-functor")
+    assert _stat(cert, "mutations") >= 1
     _conclude(7, [cert])
 
 
 def test_criterion_8_stable_comparison_instances():
     cert = v.run_claim("completion")
+    assert _stat(cert, "mutations") >= 1
     _conclude(8, [cert])
 
 

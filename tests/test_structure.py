@@ -62,6 +62,17 @@ def test_source_lines_stay_within_their_cap():
     assert lines <= SRC_LINE_CAP, lines
 
 
+def test_verify_takes_constructions_not_corrupt_flags():
+    # a claim's mutants are replacement constructions passed by keyword
+    named = [
+        arg.arg
+        for node in ast.walk(ast.parse((SRC / "verify.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    ]
+    assert named and "corrupt" not in named
+
+
 def test_morphisms_carry_no_certificates():
     # the cone functor asks the membership oracle for its certificates
     assert [f.name for f in dataclasses.fields(po.PreOrdMor)] == ["dom", "cod", "map"]

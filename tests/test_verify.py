@@ -1,5 +1,8 @@
 """Certificates: format, determinism, and mutation sensitivity."""
 
+import dataclasses
+import re
+
 import pytest
 
 from preordgrp import fgabelian as ab
@@ -31,6 +34,24 @@ PROBE_PAIRS = [
     (a, b) for universe in (po.ABELIAN, po.FINITE)
     for a in pr.probes_for(universe) for b in pr.probes_for(universe)
 ]
+
+# the claim rows with a mutant source, and the undetected-mutant report of
+# each suite claim's one mutant
+MUTANT_ROWS = [spec for spec in v.CLAIMS if spec.mutants is not None]
+SUITE_MUTANTS = {
+    "pretorsion": "mislabelled torsion probe",
+    "adjunction": "forgotten collapse generator",
+    "mon-torsion": "inflated unit monoid",
+    "p-functor": "punctured unit monoid",
+    "completion": "collapsed comparison",
+}
+
+
+def suite_replacement(claim):
+    """The keywords of a suite claim's one mutant, built for SUITE."""
+    spec = next(spec for spec in v.CLAIMS if spec.name == claim)
+    [(_, replacement)] = spec.mutants(SUITE)
+    return replacement
 
 
 class TestCertificateFormat:
@@ -132,7 +153,7 @@ class TestPairSamplesOnDemand:
     def test_pretorsion_draws_torsion_to_free_pairs_only(self, monkeypatch):
         keys = self.suite_draws(monkeypatch)
         suite = v.default_suite(self.SEED, 3)
-        assert v.verify_pretorsion_axioms(suite).passed
+        assert v.verify_pretorsion_axioms(suite)[0] == []
         expected = [
             f"{a.name}->{b.name}/{j}"
             for a, b in PROBE_PAIRS
@@ -146,7 +167,7 @@ class TestPairSamplesOnDemand:
 
     def test_adjunction_draws_one_sample_per_pair(self, monkeypatch):
         keys = self.suite_draws(monkeypatch)
-        assert v.verify_adjunctions(v.default_suite(self.SEED)).passed
+        assert v.verify_adjunctions(v.default_suite(self.SEED))[0] == []
         assert sorted(keys) == sorted(f"{a.name}->{b.name}/0" for a, b in PROBE_PAIRS)
 
 
@@ -186,23 +207,32 @@ class TestMutants:
         assert v._punctured(po.make_object(Z, [[1], [-1]])).cone.to_rows() == ((1,),)
         assert v._punctured(S3A3).cone == frozenset({0, 4})
 
-    @pytest.mark.parametrize(
-        "label, mutants_of",
-        [("zker-up", v.z_kernel_mutants), ("gjm-pullback", v.pullback_mutants)],
-    )
-    def test_undetected_mutants_fail_the_sweep(self, label, mutants_of):
-        # a witness function that never objects lets every mutant through
-        def blind(m, suite, candidate=None):
-            return [], {}
+    def test_rows_without_mutants(self):
+        assert [spec.name for spec in v.CLAIMS if spec.mutants is None] == [
+            "ztrivial-abelian", "ztrivial-finite", "intsolve",
+        ]
 
-        cert = v._claim_sweep(label, po.FINITE, blind, mutants_of, 0, 4)
-        assert cert.claim == f"{label}-finite"
+    def test_cases_without_mutants_fail_a_row_with_a_source(self):
+        # none of the first four abelian morphisms has a cokernel mutant
+        spec = next(spec for spec in v.CLAIMS if spec.name == "zcok-up-abelian")
+        cert = v._run(spec, 0, 4)
+        assert cert.witnesses == ("no applicable mutations were generated",)
+        assert dict(cert.stats)["morphisms"] == 4 and "mutations" not in dict(cert.stats)
+
+    @pytest.mark.parametrize("spec", MUTANT_ROWS, ids=lambda spec: spec.name)
+    def test_undetected_mutants_fail_the_sweep(self, spec):
+        # a check that never objects lets every mutant through
+        blind = dataclasses.replace(spec, check=lambda *case, **replacement: ([], {}))
+        cert = v._run(blind, 0, spec.samples)
+        assert cert.claim == spec.name
         assert not cert.passed
         assert len(cert.witnesses) == dict(cert.stats)["mutations"] > 0
-        sampled = v._sweep_morphisms(po.FINITE, 0, 4, label)
-        kinds = {kind for m in sampled for kind, _ in mutants_of(m)}
-        reports = {w.split(": ", 1)[1] for w in cert.witnesses}
-        assert reports == {f"mutation {kind} went undetected" for kind in kinds}
+        if spec.name in SUITE_MUTANTS:
+            assert cert.witnesses == (f"{SUITE_MUTANTS[spec.name]} went undetected",)
+            return
+        kinds = "cone-enlarged|cone-dropped|generator-skipped"
+        pattern = rf"[0-9a-f]{{10}}: mutation ({kinds}) went undetected"
+        assert all(re.fullmatch(pattern, w) for w in cert.witnesses)
 
 
 class TestZCokernelUP:
@@ -247,28 +277,42 @@ class TestSquares:
 WRONG_UNITS = [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()]
 
 
+def caught_on(witnesses, probe):
+    """Some witness, and every witness names the probe."""
+    return bool(witnesses) and all(probe in w for w in witnesses)
+
+
 class TestCorruptedVerifiers:
+    """Each suite claim's replacement construction is caught, and only on
+    the probe it is wrong on."""
+
     def test_pretorsion(self):
-        assert v.verify_pretorsion_axioms(SUITE).passed
-        assert not v.verify_pretorsion_axioms(SUITE, corrupt="Z-even").passed
+        assert v.verify_pretorsion_axioms(SUITE)[0] == []
+        witnesses, _ = v.verify_pretorsion_axioms(SUITE, **suite_replacement("pretorsion"))
+        assert caught_on(witnesses, "Z-even")
 
     def test_adjunction(self):
-        assert v.verify_adjunctions(SUITE).passed
-        assert not v.verify_adjunctions(SUITE, corrupt="Z-natural").passed
+        assert v.verify_adjunctions(SUITE)[0] == []
+        witnesses, _ = v.verify_adjunctions(SUITE, **suite_replacement("adjunction"))
+        assert caught_on(witnesses, "Z-natural")
 
     def test_mon_torsion(self):
-        assert v.verify_mon_torsion_theory(SUITE).passed
-        assert not v.verify_mon_torsion_theory(SUITE, "Z-natural").passed
+        assert v.verify_mon_torsion_theory(SUITE)[0] == []
+        witnesses, _ = v.verify_mon_torsion_theory(SUITE, **suite_replacement("mon-torsion"))
+        assert caught_on(witnesses, "Z-natural")
 
     def test_p_functor(self):
-        assert v.verify_p_torsion_theory_functor(SUITE).passed
-        assert not v.verify_p_torsion_theory_functor(SUITE, "Z-group-cone").passed
+        assert v.verify_p_torsion_theory_functor(SUITE)[0] == []
+        replacement = suite_replacement("p-functor")
+        witnesses, _ = v.verify_p_torsion_theory_functor(SUITE, **replacement)
+        assert caught_on(witnesses, "Z-group-cone")
 
     @pytest.mark.parametrize("touched", WRONG_UNITS, ids=["all", "none"])
     def test_p_functor_catches_wrong_unit_generators(self, monkeypatch, touched):
         # every cone generator called a unit, or none: the units are wrong
         monkeypatch.setattr(po, "touched_unit_generators", touched)
-        assert not v.verify_p_torsion_theory_functor(v.default_suite(0)).passed
+        witnesses, _ = v.verify_p_torsion_theory_functor(v.default_suite(0))
+        assert witnesses
 
     @pytest.mark.parametrize("touched", WRONG_UNITS, ids=["all", "none"])
     @pytest.mark.parametrize(
@@ -278,11 +322,13 @@ class TestCorruptedVerifiers:
     )
     def test_torsion_claims_catch_wrong_unit_generators(self, monkeypatch, verifier, touched):
         monkeypatch.setattr(po, "touched_unit_generators", touched)
-        assert not verifier(v.default_suite(0)).passed
+        witnesses, _ = verifier(v.default_suite(0))
+        assert witnesses
 
     def test_completion(self):
-        assert v.verify_completion_theorem(SUITE).passed
-        assert not v.verify_completion_theorem(SUITE, "Z-natural").passed
+        assert v.verify_completion_theorem(SUITE)[0] == []
+        witnesses, _ = v.verify_completion_theorem(SUITE, **suite_replacement("completion"))
+        assert caught_on(witnesses, "Z-natural")
 
     @pytest.mark.parametrize("cone", [{0, 1}, {0, 1, 2}, {0, 2, 3}], ids=["0-1", "0-1-2", "0-2-3"])
     def test_completion_fails_on_a_cone_without_inverses(self, monkeypatch, cone):
@@ -290,10 +336,9 @@ class TestCorruptedVerifiers:
         unclosed = pr.Probe("C4-unclosed", po.PreOrdObj(fg.cyclic_group(4), frozenset(cone)))
         probes = {po.ABELIAN: (), po.FINITE: (unclosed,)}
         monkeypatch.setattr(pr, "probes_for", probes.__getitem__)
-        cert = v.verify_completion_theorem(SUITE)
-        assert not cert.passed
-        assert cert.witnesses == ("C4-unclosed: cone fails the common-multiple condition",)
-        assert dict(cert.stats) == {"monoids": 1}
+        witnesses, stats = v.verify_completion_theorem(SUITE)
+        assert witnesses == ["C4-unclosed: cone fails the common-multiple condition"]
+        assert stats == {"monoids": 1}
 
 
 class TestSpecialSes:
@@ -326,9 +371,8 @@ class TestSpecialSes:
 
 class TestIntegerSolvers:
     def test_grid_and_samples(self):
-        cert = v.verify_integer_solvers(0, 12)
-        assert cert.passed
-        stats = dict(cert.stats)
+        witnesses, stats = v.verify_integer_solvers(0, 12)
+        assert witnesses == []
         assert stats["hilbert-systems"] == 72  # 60 grid + 12 sampled
         assert stats["membership-queries"] == 75  # 63 grid + 12 sampled
 
