@@ -167,7 +167,7 @@ def present_subgroup(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
         if di > 1:
             rel_rows.append(tuple(di if j == pos else 0 for j in range(len(keep))))
     sub = FgAbGroup(len(keep), hnf_reduced(IntMatrix.from_rows(rel_rows, cols=len(keep))))
-    incl = make_morphism(sub, g, [newgens.row(i) for i in range(m) if i in set(keep)])
+    incl = make_morphism(sub, g, [newgens.row(i) for i in keep])
     return sub, incl
 
 
@@ -214,6 +214,20 @@ def is_surjective(f: AbMorphism) -> bool:
     return is_trivial(q)
 
 
+def _preimages(f: AbMorphism, targets: IntMatrix) -> list[Vec] | None:
+    """Per target row x, a c with c * f.matrix = x in f.cod, or None if some
+    x has none: the first f.dom.rank entries of y * u, where y * h = x and
+    (h, u) is the HNF of f.matrix stacked on f.cod.relations."""
+    h, u = hermite_normal_form(f.matrix.stack(f.cod.relations))
+    rows = []
+    for x in targets.to_rows():
+        y = solve_left(h, x)
+        if y is None:
+            return None
+        rows.append(row_times_matrix(y, u)[: f.dom.rank])
+    return rows
+
+
 def factor_through_injection(
     alpha: AbMorphism, incl: AbMorphism
 ) -> AbMorphism | None:
@@ -225,16 +239,8 @@ def factor_through_injection(
     """
     if alpha.cod != incl.cod:
         raise ValidationError("factorization endpoints do not match")
-    stacked = incl.matrix.stack(incl.cod.relations)
-    h, u = hermite_normal_form(stacked)
-    rows = []
-    for i in range(alpha.dom.rank):
-        y = solve_left(h, alpha.matrix.row(i))
-        if y is None:
-            return None
-        full = row_times_matrix(y, u)
-        rows.append(full[: incl.dom.rank])
-    return make_morphism(alpha.dom, incl.dom, rows)
+    rows = _preimages(incl, alpha.matrix)
+    return None if rows is None else make_morphism(alpha.dom, incl.dom, rows)
 
 
 def factor_through_surjection(
@@ -243,16 +249,10 @@ def factor_through_surjection(
     """Solve beta = proj ; psi for psi, given a surjective proj."""
     if beta.dom != proj.dom:
         raise ValidationError("factorization endpoints do not match")
-    stacked = proj.matrix.stack(proj.cod.relations)
-    h, u = hermite_normal_form(stacked)
-    rows = []
-    for j in range(proj.cod.rank):
-        target = tuple(1 if t == j else 0 for t in range(proj.cod.rank))
-        y = solve_left(h, target)
-        if y is None:
-            return None  # proj not surjective onto this coordinate
-        pre = row_times_matrix(y, u)[: proj.dom.rank]
-        rows.append(row_times_matrix(pre, beta.matrix))
+    pres = _preimages(proj, IntMatrix.identity(proj.cod.rank))
+    if pres is None:
+        return None  # proj not surjective onto some coordinate
+    rows = [row_times_matrix(pre, beta.matrix) for pre in pres]
     try:
         psi = make_morphism(proj.cod, beta.cod, rows)
     except ValidationError:

@@ -10,6 +10,11 @@ Conventions fixed here and relied on elsewhere:
     h in row echelon form with positive pivots and reduced entries above.
   * smith_normal_form(m) returns (d, u, v) with u * m * v = d diagonal,
     nonnegative, each entry dividing the next.
+  * Transforms ride along as extra columns (row operations) or rows
+    (column operations) of the working matrix, so each operation updates
+    its transform with it; hnf_reduced, whose callers read none, builds
+    none.  A unimodular matrix's HNF is the identity, so its HNF transform
+    is its inverse.
   * hilbert_basis(a) returns the minimal nonzero solutions of a * x = 0,
     x >= 0, via the Contejean-Devie completion procedure.  It visits the
     same states as the plain loop in tests/hilbert_reference.py, each
@@ -159,16 +164,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style HNF: returns (h, u) with u * m = h and u unimodular.
-
-    h is in row echelon form with strictly increasing pivot columns,
-    positive pivots, entries above each pivot reduced into [0, pivot),
-    and zero rows collected at the bottom.
-    """
-    work = [list(m.row(i)) for i in range(m.rows)]
-    u = [list(IntMatrix.identity(m.rows).row(i)) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
+def _echelon(work: list[list[int]], ncols: int) -> list[list[int]]:
+    """work with its first ncols columns put in Hermite form, in place.
+    Row operations act on whole rows, carrying any columns past ncols."""
+    nrows = len(work)
     pivot = 0
     for col in range(ncols):
         if pivot >= nrows:
@@ -180,42 +179,46 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             a, b = work[pivot][col], work[i][col]
             if a == 0:
                 work[pivot], work[i] = work[i], work[pivot]
-                u[pivot], u[i] = u[i], u[pivot]
                 continue
             if b % a == 0:
                 q = b // a
                 work[i] = [x - q * y for x, y in zip(work[i], work[pivot])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot])]
                 continue
             g, s, t = xgcd(a, b)
             aa, bb = a // g, b // g
             rp, ri = work[pivot], work[i]
-            up, ui = u[pivot], u[i]
             work[pivot] = [s * p + t * q for p, q in zip(rp, ri)]
             work[i] = [-bb * p + aa * q for p, q in zip(rp, ri)]
-            u[pivot] = [s * p + t * q for p, q in zip(up, ui)]
-            u[i] = [-bb * p + aa * q for p, q in zip(up, ui)]
         if work[pivot][col] == 0:
             continue
         if work[pivot][col] < 0:
             work[pivot] = [-x for x in work[pivot]]
-            u[pivot] = [-x for x in u[pivot]]
         p = work[pivot][col]
         for i in range(pivot):
             q = work[i][col] // p
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[pivot])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot])]
         pivot += 1
-    h = IntMatrix.from_rows(work, cols=ncols)
-    return h, IntMatrix.from_rows(u, cols=nrows)
+    return work
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style HNF: returns (h, u) with u * m = h and u unimodular.
+
+    h is in row echelon form with strictly increasing pivot columns,
+    positive pivots, entries above each pivot reduced into [0, pivot),
+    and zero rows collected at the bottom.
+    """
+    n = m.rows
+    work = _echelon([[*m.row(i), *(int(i == j) for j in range(n))] for i in range(n)], m.cols)
+    h = IntMatrix.from_rows([r[: m.cols] for r in work], cols=m.cols)
+    return h, IntMatrix.from_rows([r[m.cols :] for r in work], cols=n)
 
 
 def hnf_reduced(m: IntMatrix) -> IntMatrix:
     """Canonical basis of rowspan(m): HNF rows with zero rows dropped."""
-    h, _ = hermite_normal_form(m)
-    rows = [h.row(i) for i in range(h.rows) if not vec_is_zero(h.row(i))]
-    return IntMatrix.from_rows(rows, cols=m.cols)
+    work = _echelon([list(m.row(i)) for i in range(m.rows)], m.cols)
+    return IntMatrix.from_rows([r for r in work if any(r)], cols=m.cols)
 
 
 @lru_cache(maxsize=4096)
@@ -230,18 +233,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     d is diagonal with nonnegative entries and d[i] divides d[i+1].
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
-    u = [list(IntMatrix.identity(nrows).row(i)) for i in range(nrows)]
-    v = [list(IntMatrix.identity(ncols).row(i)) for i in range(ncols)]
+    # u rides along as the columns past ncols, v as the rows past nrows.
+    work = [[*m.row(i), *(int(i == j) for j in range(nrows))] for i in range(nrows)]
+    work += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def col_combine(j0: int, j1: int, a: int, b: int, c: int, d_: int):
         # columns (j0, j1) <- (a*j0 + c*j1, b*j0 + d*j1); right-multiplying
         # by a unimodular block keeps u * m * v = work.
         for r in work:
-            x, y = r[j0], r[j1]
-            r[j0], r[j1] = a * x + c * y, b * x + d_ * y
-        for r in v:
             x, y = r[j0], r[j1]
             r[j0], r[j1] = a * x + c * y, b * x + d_ * y
 
@@ -250,9 +250,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         r0 = [a * x + b * y for x, y in zip(work[i0], work[i1])]
         r1 = [c * x + d_ * y for x, y in zip(work[i0], work[i1])]
         work[i0], work[i1] = r0, r1
-        s0 = [a * x + b * y for x, y in zip(u[i0], u[i1])]
-        s1 = [c * x + d_ * y for x, y in zip(u[i0], u[i1])]
-        u[i0], u[i1] = s0, s1
 
     for k in range(min(nrows, ncols)):
         while True:
@@ -268,11 +265,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             bi, bj = best
             if bi != k:
                 work[k], work[bi] = work[bi], work[k]
-                u[k], u[bi] = u[bi], u[k]
             if bj != k:
                 for r in work:
-                    r[k], r[bj] = r[bj], r[k]
-                for r in v:
                     r[k], r[bj] = r[bj], r[k]
             # Clear row k and column k.  When the pivot divides the target,
             # plain subtraction leaves the pivot row/column untouched; the
@@ -312,11 +306,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
             row_combine(k, culprit, 1, 1, 0, 1)
         if work[k][k] < 0:
-            for j in range(ncols):
-                work[k][j] = -work[k][j]
-            u[k] = [-x for x in u[k]]
-    d = IntMatrix.from_rows(work, cols=ncols)
-    return d, IntMatrix.from_rows(u, cols=nrows), IntMatrix.from_rows(v, cols=ncols)
+            work[k] = [-x for x in work[k]]
+    d = IntMatrix.from_rows([r[:ncols] for r in work[:nrows]], cols=ncols)
+    u = IntMatrix.from_rows([r[ncols:] for r in work[:nrows]], cols=nrows)
+    return d, u, IntMatrix.from_rows(work[nrows:], cols=ncols)
 
 
 def solve_left(h: IntMatrix, b: Vec) -> Vec | None:
@@ -350,18 +343,13 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
 
 
 def unimodular_inverse(v: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix, computed exactly."""
+    """Inverse of a unimodular matrix: the transform of its HNF."""
     if v.rows != v.cols:
         raise DimensionError("inverse of non-square matrix")
-    rows = []
-    ident = IntMatrix.identity(v.rows)
     h, u = hermite_normal_form(v)
-    for i in range(v.rows):
-        y = solve_left(h, ident.row(i))
-        if y is None:
-            raise DimensionError("matrix is not unimodular")
-        rows.append(row_times_matrix(y, u))
-    return IntMatrix.from_rows(rows, cols=v.rows)
+    if h != IntMatrix.identity(v.rows):
+        raise DimensionError("matrix is not unimodular")
+    return u
 
 
 def _hilbert_completion(cols: list[Vec], state_cap: int, early) -> tuple[tuple[Vec, ...], int]:
@@ -529,7 +517,8 @@ def nonneg_search(
     for sol in basis:
         if sol[k] == 1:
             a = sol[:k]
-            if solve_left(hnf_reduced(modulus), vec_sub(x, row_times_matrix(a, gens))) is None:
+            lattice = integer_span(IntMatrix.zeros(0, gens.cols), modulus)
+            if solve_left(lattice, vec_sub(x, row_times_matrix(a, gens))) is None:
                 raise RuntimeError("congruence system produced an invalid certificate")
             return a, visited
     return None, visited

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lattice_reference import solve_integer
 from preordgrp import fgabelian as ab
 from preordgrp.errors import ResourceLimitError, ValidationError
-from preordgrp.intmat import IntMatrix
+from preordgrp.intmat import IntMatrix, row_times_matrix
 
 Z = ab.make_group(1, [])
 Z2 = ab.make_group(1, [[2]])
@@ -197,3 +200,64 @@ class TestFactorizations:
         # through x2 there is no factorization: 1 is not in the image
         times2 = ab.make_morphism(Z, Z, [[2]])
         assert ab.factor_through_surjection(beta, times2) is None
+
+
+def _rows(n_cols, max_rows, min_rows=0):
+    entries = st.lists(st.integers(-6, 6), min_size=n_cols, max_size=n_cols)
+    return st.lists(entries, min_size=min_rows, max_size=max_rows)
+
+
+@st.composite
+def _groups(draw):
+    rank = draw(st.integers(0, 5))
+    return ab.make_group(rank, draw(_rows(rank, 3)))
+
+
+@st.composite
+def _morphisms_from(draw, dom):
+    """A morphism dom -> B: a drawn matrix m, and B presented with the
+    images of dom's relations among its own, so that m is well defined."""
+    rank = draw(st.integers(0, 5))
+    m = IntMatrix.from_rows(draw(_rows(rank, dom.rank, dom.rank)), cols=rank)
+    images = [row_times_matrix(r, m) for r in dom.relations.to_rows()]
+    return ab.make_morphism(dom, ab.make_group(rank, images + draw(_rows(rank, 2))), m)
+
+
+class TestFactorizationRoundTrip:
+    """Factoring a composite back through the inclusion of a presented
+    subgroup, or through a quotient's projection, recovers the factor; a
+    target outside the image has no factorization."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_through_injection(self, data):
+        g = data.draw(_groups())
+        sub, incl = ab.present_subgroup(g, data.draw(_rows(g.rank, 4)))
+        dom = ab.make_group(data.draw(st.integers(0, 3)), [])
+        phi = ab.make_morphism(dom, sub, data.draw(_rows(sub.rank, dom.rank, dom.rank)))
+        for f in (phi, ab.identity_morphism(sub)):
+            back = ab.factor_through_injection(ab.compose(f, incl), incl)
+            assert back is not None
+            assert ab.morphism_eq(ab.compose(back, incl), ab.compose(f, incl))
+            assert ab.morphism_eq(back, f)  # incl is injective
+        x = tuple(data.draw(st.integers(-6, 6)) for _ in range(g.rank))
+        inside = solve_integer(incl.matrix.stack(g.relations), x) is not None
+        alpha = ab.make_morphism(Z, g, [x])
+        assert (ab.factor_through_injection(alpha, incl) is not None) == inside
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_through_surjection(self, data):
+        g = data.draw(_groups())
+        q, proj = ab.quotient(g, data.draw(_rows(g.rank, 3)))
+        psi = data.draw(_morphisms_from(q))
+        back = ab.factor_through_surjection(ab.compose(proj, psi), proj)
+        assert back is not None and ab.morphism_eq(back, psi)
+        # Only a surjection lets every morphism out of g factor through it.
+        f = data.draw(_morphisms_from(g))
+        zero = ab.zero_morphism(g, f.cod)
+        through_f = ab.factor_through_surjection(zero, f)
+        if ab.is_surjective(f):
+            assert through_f is not None and ab.morphism_eq(ab.compose(f, through_f), zero)
+        else:
+            assert through_f is None

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_reference import reference_completion, sign_split_search, sign_split_zero_sums
+import lattice_reference as reference
 from lattice_reference import determinant, in_integer_span, solve_integer
 from preordgrp import intmat
 from preordgrp import preord as po
@@ -693,3 +694,43 @@ class TestDeterminant:
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
         )
         assert determinant(m) == cofactor
+
+
+@st.composite
+def _small_matrices(draw):
+    """Up to 8x8, 0-row and 0-column shapes included.  The rows are integer
+    combinations of `inner` drawn rows, so the rank falls short whenever
+    inner < rows."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    inner = draw(st.integers(0, r))
+    basis = IntMatrix.from_rows(
+        draw(st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=inner, max_size=inner)),
+        cols=c,
+    )
+    if inner == r:
+        return basis
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=inner, max_size=inner), min_size=r, max_size=r))
+    return IntMatrix.from_rows(coeffs, cols=inner).mul(basis)
+
+
+class TestAgainstReferenceForms:
+    """The normal forms return exactly the matrices of the earlier versions
+    kept in tests/lattice_reference.py, which updated each transform in a
+    list of its own."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_small_matrices())
+    def test_same_matrices(self, m):
+        h, u = reference.hermite_normal_form(m)
+        assert hermite_normal_form(m) == (h, u)
+        assert hnf_reduced(m) == IntMatrix.from_rows([r for r in h.to_rows() if any(r)], cols=m.cols)
+        d, su, v = reference.smith_normal_form(m)
+        assert smith_normal_form(m) == (d, su, v)
+        for w in (u, su, v):
+            assert unimodular_inverse(w) == reference.unimodular_inverse(w)
+        if m.rows == m.cols:
+            if abs(determinant(m)) == 1:
+                assert unimodular_inverse(m) == reference.unimodular_inverse(m)
+            else:
+                with pytest.raises(DimensionError):
+                    unimodular_inverse(m)
