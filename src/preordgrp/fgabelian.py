@@ -12,7 +12,7 @@ make_group keeps the caller's relation matrix untouched.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .intmat import (
@@ -126,8 +126,9 @@ def morphism_eq(f: AbMorphism, g: AbMorphism) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
 def preimage_lattice(m: IntMatrix, cod_relations: IntMatrix) -> IntMatrix:
-    """Rows generating {x : x * m lies in the row span of cod_relations}."""
+    """Rows generating {x : x * m lies in the row span of cod_relations}, cached by value."""
     stacked = m.stack(cod_relations)
     kern = left_kernel(stacked)
     rows = [kern.row(i)[: m.rows] for i in range(kern.rows)]

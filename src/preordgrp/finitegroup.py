@@ -7,7 +7,8 @@ representatives are coset minima).
 
 `FiniteGroup.generators` is a greedy generating set: each generator is the
 least element not reached from 0 by right multiplication by the earlier
-ones, an O(n k) closure.  Three checks run on the generators alone:
+ones, an O(n k) closure, and `generator_words`, cached on the group, spells
+each element over them.  Three checks run on the generators alone:
 
 - Associativity (Light's test): the g with (ag)c = a(gc) for all a, c
   contain 0 and are closed under the product, (a(gh))c = ((ag)h)c =
@@ -73,6 +74,19 @@ class FiniteGroup:
                 x, n = self.mul(x, a), n + 1
             orders.append(n)
         return tuple(orders)
+
+    @cached_property
+    def generator_words(self) -> tuple:
+        """Per element, a shortest word over generators, as their indices."""
+        words = {0: ()}
+        frontier = [0]
+        for x in frontier:  # appended to while read: breadth first
+            for i, a in enumerate(self.generators):
+                y = self.mul(x, a)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    frontier.append(y)
+        return tuple(words[x] for x in range(self.order))
 
     def inv(self, a: int) -> int:
         return self.inverses[a]

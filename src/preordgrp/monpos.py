@@ -21,8 +21,6 @@ quotient is trivial and any homomorphism of completions preserves it,
 while abelian P asks the membership oracle for its certificates.
 """
 
-from functools import lru_cache
-
 from . import finitegroup as fg
 from . import preord as po
 
@@ -32,14 +30,13 @@ def positive_cone(obj: po.PreOrdObj) -> po.PreOrdObj:
     return obj
 
 
-@lru_cache(maxsize=4096)
 def group_completion(m: po.PreOrdObj):
     """The subgroup the monoid generates, on generator coordinates.
 
     Returns (group, embed) with embed the injection into the ambient
     group; abelian completions have one basis element per generator and
     the vanishing lattice as relations, finite ones are the closed subset
-    itself presented as a group.
+    itself presented as a group.  Uncached: preimage_lattice caches by matrix.
     """
     return m.backend.completion(m.group, m.cone)
 

@@ -89,31 +89,6 @@ def _first_of_each(options, key):
     return out
 
 
-@lru_cache(maxsize=None)
-def _generator_words(g: fg.FiniteGroup) -> tuple:
-    """Per element, a word over g.generators, as generator indices."""
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for i, a in enumerate(g.generators):
-            y = g.mul(x, a)
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
-    return tuple(words[x] for x in range(g.order))
-
-
-@lru_cache(maxsize=None)
-def _compatible_images(dom: fg.FiniteGroup, cod: fg.FiniteGroup) -> tuple:
-    """Per generator of dom, the elements of cod whose order divides its order."""
-    orders = cod.element_orders
-    return tuple(
-        tuple(b for b in range(cod.order) if dom.element_orders[a] % orders[b] == 0)
-        for a in dom.generators
-    )
-
-
 class _AbelianBackend:
     name = ABELIAN
 
@@ -418,16 +393,20 @@ class _FiniteBackend:
         return frozenset(range(group.order))
 
     def draw_map(self, rng, dom, cod):
-        """A random homomorphism sending each generator to an element of
-        dividing order; raises ValidationError when that assignment is not one."""
-        images = [rng.choice(pool) for pool in _compatible_images(dom.group, cod.group)]
+        """Each generator to a random element of dividing order, each element
+        along its generator word; raises ValidationError if that is no homomorphism."""
+        g, h = dom.group, cod.group
+        images = [
+            rng.choice([b for b, n in enumerate(h.element_orders) if g.element_orders[a] % n == 0])
+            for a in g.generators
+        ]
         mapping = []
-        for word in _generator_words(dom.group):
+        for word in g.generator_words:
             y = 0
             for i in word:
-                y = cod.group.mul(y, images[i])
+                y = h.mul(y, images[i])
             mapping.append(y)
-        return fg.make_fin_morphism(dom.group, cod.group, mapping)
+        return fg.make_fin_morphism(g, h, mapping)
 
     def key_data(self, obj):
         return ("f", obj.group.order, obj.group.table, tuple(sorted(obj.cone)))

@@ -32,12 +32,10 @@ def _perm_group(perms) -> fg.FiniteGroup:
     return group
 
 
-@lru_cache(maxsize=1)
 def _symmetric3() -> fg.FiniteGroup:
     return _perm_group([(1, 0, 2), (1, 2, 0)])
 
 
-@lru_cache(maxsize=1)
 def _alternating3() -> frozenset:
     g = _symmetric3()
     rotations = [a for a in range(g.order) if g.element_orders[a] != 2]
@@ -92,7 +90,6 @@ def probes_for(universe: str) -> tuple[Probe, ...]:
     return probes()
 
 
-@lru_cache(maxsize=1)
 def _quaternion8() -> fg.FiniteGroup:
     # left multiplication by i and by j on (1, -1, i, -i, j, -j, k, -k)
     left_i = (2, 3, 1, 0, 6, 7, 5, 4)

@@ -4,6 +4,7 @@ import pytest
 
 from preordgrp import finitegroup as fg
 from preordgrp import preord as po
+from preordgrp import probes as pr
 from preordgrp.errors import ResourceLimitError, ValidationError
 
 S3, S3_PERMS = fg.group_from_permutations([(1, 0, 2), (0, 2, 1)])
@@ -168,3 +169,15 @@ class TestProduct:
         big = fg.product_group(z8, z8)
         with pytest.raises(ResourceLimitError):
             fg.product_group(big, big)
+
+
+class TestGeneratorWords:
+    def test_words_fold_back_to_their_elements(self):
+        for name, g in pr.finite_catalog():
+            words = g.generator_words
+            assert len(words) == g.order and words[0] == (), name
+            for x, word in enumerate(words):
+                y = 0
+                for i in word:
+                    y = g.mul(y, g.generators[i])
+                assert y == x, (name, x, word)

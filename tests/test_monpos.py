@@ -1,6 +1,9 @@
 """The cone functor P and the group completion Σ: completions, units,
 torsion sequence."""
 
+import gc
+import weakref
+
 import pytest
 
 from preordgrp import fgabelian as ab
@@ -238,3 +241,19 @@ class TestComparisonAndConsistency:
     def test_fhat_is_isomorphism(self):
         for m in (NAT, EVEN, M235, HALF, A3M):
             assert po.is_isomorphism(mp.fhat_consistency(m))
+
+
+def test_constructions_keep_no_cayley_table_alive():
+    # no cache is keyed on a group, so a finished session frees its tables
+    g = fg.product_group(S3, fg.cyclic_group(20))
+    assert g.order == 120
+    m = monoid(g, fg.normal_closure(g, [20]))
+    mp.comparison_morphism(m)
+    mp.units(m)
+    mp.quotient_by_units(m)
+    mp.completion_object(m)
+    mp.torsion_ses(m)
+    alive = weakref.ref(g)
+    del g, m
+    gc.collect()
+    assert alive() is None
