@@ -266,6 +266,12 @@ def normal_closure(g: FiniteGroup, gens) -> frozenset:
     return submonoid_closure(g, conjugates)
 
 
+def _table_on(g: FiniteGroup, elems, label) -> tuple:
+    """Flat table of g on elems: row a of g read at elems, for each a in elems, through label."""
+    rows = (map(g.table[a * g.order : (a + 1) * g.order].__getitem__, elems) for a in elems)
+    return tuple(map(label, chain.from_iterable(rows)))
+
+
 def subgroup_from_set(g: FiniteGroup, elems):
     """Present a product-closed subset as a group; returns (subgroup, incl).
 
@@ -275,18 +281,14 @@ def subgroup_from_set(g: FiniteGroup, elems):
     elems = sorted(set(elems))
     if not elems or elems[0] != 0:
         raise ValidationError("subset does not contain the identity")
-    index = {a: i for i, a in enumerate(elems)}
-    n = len(elems)
-    table = []
-    for a in elems:
-        for b in elems:
-            c = g.mul(a, b)
-            if c not in index:
-                raise ValidationError(
-                    f"subset not closed: {a} . {b} = {c}", witness=(a, b)
-                )
-            table.append(index[c])
-    incl = make_fin_morphism(FiniteGroup(n, tuple(table)), g, tuple(elems))
+    index = [-1] * g.order  # -1 marks a product outside the subset
+    for i, a in enumerate(elems):
+        index[a] = i
+    table = _table_on(g, elems, index.__getitem__)
+    if -1 in table:
+        a, b = (elems[i] for i in divmod(table.index(-1), len(elems)))
+        raise ValidationError(f"subset not closed: {a} . {b} = {g.mul(a, b)}", witness=(a, b))
+    incl = make_fin_morphism(FiniteGroup(len(elems), table), g, tuple(elems))
     return incl.dom, incl
 
 
@@ -314,9 +316,7 @@ def quotient_by_normal(g: FiniteGroup, nset):
             for x in nset:
                 coset_of[g.mul(a, x)] = len(reps)
             reps.append(a)
-    # row a of the quotient: row a of g read at the representatives, then cosets
-    rows = (map(g.table[a * g.order : (a + 1) * g.order].__getitem__, reps) for a in reps)
-    quot = FiniteGroup(len(reps), tuple(map(coset_of.__getitem__, chain.from_iterable(rows))))
+    quot = FiniteGroup(len(reps), _table_on(g, reps, coset_of.__getitem__))
     proj = make_fin_morphism(g, quot, tuple(coset_of))
     return quot, proj
 

@@ -63,7 +63,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         if rows:
             width = len(rows[0])
             if cols is not None and cols != width:

@@ -9,11 +9,11 @@ morphism M -> N is a preord morphism between the completion objects of
 M and N; such a cone generates its group, so z-trivial means zero.
 
 P sends a morphism to the map between the completions whose rows are the
-membership certificates of its cone generators' images.  The torsion
-sequence of a monoid is preord's canonical sequence with P applied to its
-legs.  The comparison morphism embeds the completion back into the
-ambient group, and the consistency map identifies P of that completion
-object with the monoid it came from.
+membership certificates of its cone generators' images.  torsion_ses
+applies P to the legs of preord's canonical sequence, which units and
+quotient_by_units return.  comparison_morphism, the embedding of the
+completion into the ambient group, is the one place Σ is assembled; the
+consistency map identifies P of that completion object with the monoid.
 
 The universes part only where they compute different things: finite
 cones are subgroups, so every finite monoid is all units, its reduced
@@ -43,31 +43,29 @@ def group_completion(m: po.PreOrdObj):
 
 def completion_object(m: po.PreOrdObj) -> po.PreOrdObj:
     """The completion preordered by the monoid itself."""
-    group, _ = group_completion(m)
-    return po.PreOrdObj(group, m.backend.completion_cone(group))
+    return comparison_morphism(m).dom
 
 
 def units(m: po.PreOrdObj):
-    """The unit group as a submonoid; returns (U, inclusion)."""
-    tobj, kappa = po.torsion_part(m)
-    return tobj, positive_cone_mor(kappa)
+    """The unit group as a submonoid; returns (U, its preord inclusion)."""
+    return po.torsion_part(m)
 
 
 def quotient_by_units(m: po.PreOrdObj):
-    """The reduced quotient; returns (M/U, projection)."""
+    """The reduced quotient; returns (M/U, the preord projection out of M)."""
     if m.universe == po.FINITE:
         # every element is a unit, so the quotient is trivial
         reduced = po.PreOrdObj(fg.cyclic_group(1), frozenset({0}))
-        return reduced, po.zero_preord(completion_object(m), completion_object(reduced))
+        return reduced, po.zero_preord(m, reduced)
     seq = po.canonical_sequence(m)
-    return seq.torsion_free, positive_cone_mor(seq.eta)
+    return seq.torsion_free, seq.eta
 
 
 def torsion_ses(m: po.PreOrdObj) -> po.CanonicalSeq:
-    """U(M) -> M ->> M/U(M), with legs between completion objects."""
+    """U(M) -> M ->> M/U(M): P of the units' and reduced quotient's legs."""
     u, kappa = units(m)
     reduced, eta = quotient_by_units(m)
-    return po.CanonicalSeq(u, kappa, m, reduced, eta)
+    return po.CanonicalSeq(u, positive_cone_mor(kappa), m, reduced, positive_cone_mor(eta))
 
 
 def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
@@ -78,7 +76,8 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
     the row of the map between the completions, on generator coordinates.
     Raises ValidationError when an image lies outside the codomain cone.
     """
-    source, target = completion_object(f.dom), completion_object(f.cod)
+    into_d, into_c = comparison_morphism(f.dom), comparison_morphism(f.cod)
+    source, target = into_d.dom, into_c.dom
     if f.dom.universe == po.ABELIAN:
         be = f.dom.backend
         rows = []
@@ -88,23 +87,21 @@ def positive_cone_mor(f: po.PreOrdMor) -> po.PreOrdMor:
             if rows[-1] is None:
                 raise po.ValidationError(f"cone element {x} maps to {y}, outside the cone", witness=x)
         return po.make_morphism(source, target, rows)
-    gd, incl_d = group_completion(f.dom)
-    gc, incl_c = group_completion(f.cod)
-    index_c = {a: i for i, a in enumerate(incl_c.mapping)}
-    mapping = tuple(index_c[f.map.mapping[a]] for a in incl_d.mapping)
-    return po.PreOrdMor(source, target, fg.FinMorphism(gd, gc, mapping))
+    index_c = {a: i for i, a in enumerate(into_c.map.mapping)}
+    mapping = tuple(index_c[f.map.mapping[a]] for a in into_d.map.mapping)
+    return po.PreOrdMor(source, target, fg.FinMorphism(source.group, target.group, mapping))
 
 
 def comparison_morphism(m: po.PreOrdObj) -> po.PreOrdMor:
-    """(completion, M) -> (ambient, M), always a monomorphism."""
-    _, embed = group_completion(m)
-    return po.PreOrdMor(completion_object(m), m, embed)
+    """(completion, M) -> (ambient, M), always mono; the one place Σ is built."""
+    group, embed = group_completion(m)
+    return po.PreOrdMor(po.PreOrdObj(group, m.backend.completion_cone(group)), m, embed)
 
 
 def fhat_consistency(m: po.PreOrdObj) -> po.PreOrdMor:
     """P of the completion object back onto the monoid, an isomorphism."""
     source = completion_object(m)
-    gs, _ = group_completion(source)
-    # completing the completion relabels nothing: each generator of gs goes
-    # to the generator of m's completion with the same coordinate
-    return po.make_morphism(completion_object(source), source, m.backend.generators(gs))
+    completed = comparison_morphism(source).dom
+    # completing the completion relabels nothing: each generator of its
+    # group goes to the generator of m's completion with the same coordinate
+    return po.make_morphism(completed, source, m.backend.generators(completed.group))

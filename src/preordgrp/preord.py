@@ -104,9 +104,6 @@ class _AbelianBackend:
             )
         return cone
 
-    def listed(self, cone):
-        return cone.to_rows()
-
     def build_map(self, dom, cod, rows):
         return ab.make_morphism(dom, cod, rows)
 
@@ -272,9 +269,6 @@ class _FiniteBackend:
                 witness=witness,
             )
         return closed
-
-    def listed(self, cone):
-        return sorted(cone)
 
     def build_map(self, dom, cod, mapping):
         return fg.make_fin_morphism(dom, cod, mapping)
@@ -466,7 +460,7 @@ class PreOrdObj:
         return self.backend.name
 
     def __repr__(self):
-        return f"PreOrdObj({self.group!r}, cone={self.backend.listed(self.cone)})"
+        return f"PreOrdObj({self.group!r}, cone={self.backend.cone_elements(self.cone)})"
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ generating set.  These are the loops it replaced, which check every element,
 pair or triple directly; the tests compare both on the same inputs.  The
 constructions at the end are the ones `finitegroup` and `preord` shortened:
 a normal closure that also adds inverses, a quotient that sorts its cosets
-and relabels them by representative, and the unit part of a finite cone
-computed from inverses.  Only tests import this module.
+and relabels them by representative, a subgroup presentation that multiplies
+pair by pair, and the unit part of a finite cone computed from inverses.
+Only tests import this module.
 """
 
 from preordgrp.errors import ResourceLimitError, ValidationError
@@ -146,6 +147,25 @@ def quotient_by_normal(g: FiniteGroup, nset):
     quot = FiniteGroup(n, table)
     proj = make_fin_morphism(g, quot, tuple(coset_of))
     return quot, proj
+
+
+def subgroup_from_set(g: FiniteGroup, elems):
+    elems = sorted(set(elems))
+    if not elems or elems[0] != 0:
+        raise ValidationError("subset does not contain the identity")
+    index = {a: i for i, a in enumerate(elems)}
+    n = len(elems)
+    table = []
+    for a in elems:
+        for b in elems:
+            c = g.mul(a, b)
+            if c not in index:
+                raise ValidationError(
+                    f"subset not closed: {a} . {b} = {c}", witness=(a, b)
+                )
+            table.append(index[c])
+    incl = make_fin_morphism(FiniteGroup(n, tuple(table)), g, tuple(elems))
+    return incl.dom, incl
 
 
 def unit_elements(obj) -> frozenset:

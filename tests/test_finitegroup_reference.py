@@ -154,6 +154,9 @@ def test_finite_checks_match_reference(factors):
         assert closed == ref.submonoid_closure(group, gens)
         for s in (subset, closed, fg.normal_closure(group, gens)):
             assert fg.conjugation_witness(group, s) == ref.conjugation_witness(group, s)
+            assert outcome(fg.subgroup_from_set, group, {0, *s}) == outcome(
+                ref.subgroup_from_set, group, {0, *s}
+            )
 
 
 @pytest.mark.parametrize("name", [name for name, _ in pr.finite_catalog()])

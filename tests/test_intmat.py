@@ -16,7 +16,8 @@ import lattice_reference as reference
 from lattice_reference import determinant, in_integer_span, solve_integer
 from preordgrp import intmat
 from preordgrp import preord as po
-from preordgrp.errors import DimensionError, ResourceLimitError
+from preordgrp.errors import DimensionError, ResourceLimitError, ValidationError
+from preordgrp.fgabelian import make_group
 from preordgrp.intmat import (
     IntMatrix,
     _congruence_columns,
@@ -114,6 +115,22 @@ class TestIntMatrix:
             IntMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(DimensionError):
             IntMatrix.from_rows([])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [2.7, 0.9, 2.0, True, "3"],
+        ids=["float", "small-float", "whole-float", "bool", "str"],
+    )
+    def test_from_rows_rejects_non_integer_entries(self, entry):
+        # the entry is not converted, so 2.7 is not read as 2 or "3" as 3
+        with pytest.raises(DimensionError, match="non-integer entry"):
+            IntMatrix.from_rows([[1, entry]])
+
+    def test_non_integer_relation_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="non-integer entry 2.7"):
+            make_group(1, [[2.7]])
+        with pytest.raises(ValidationError, match="non-integer entry 0.9"):
+            po.make_object(make_group(1, []), [[0.9]])
 
     def test_basic_ops(self):
         m = IntMatrix.from_rows([[1, 2], [3, 4]])

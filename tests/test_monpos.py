@@ -257,3 +257,52 @@ def test_constructions_keep_no_cayley_table_alive():
     del g, m
     gc.collect()
     assert alive() is None
+
+
+def _s3c20_monoid():
+    g = fg.product_group(S3, fg.cyclic_group(20))
+    return monoid(g, fg.normal_closure(g, [20]))
+
+
+@pytest.mark.parametrize("build", [_s3c20_monoid, lambda: HALF], ids=["S3xC20", "HALF"])
+def test_sigma_is_built_once_per_object(build, monkeypatch):
+    # comparison_morphism is the one place Σ is assembled and torsion_ses
+    # the one place P is applied to a sequence's legs, so the units and
+    # the reduced quotient complete nothing and P completes each endpoint once
+    m = build()
+    completed = []
+    completion = mp.group_completion
+    def counted(obj):
+        completed.append(obj)
+        return completion(obj)
+
+    monkeypatch.setattr(mp, "group_completion", counted)
+    expected = {
+        "units": 0,
+        "quotient_by_units": 0,
+        "comparison_morphism": 1,
+        "completion_object": 1,
+        "positive_cone_mor": 2,
+        "fhat_consistency": 2,
+        "torsion_ses": 4,
+    }
+    counts = {}
+    for name in expected:
+        completed.clear()
+        construction = getattr(mp, name)
+        construction(po.identity_preord(m) if name == "positive_cone_mor" else m)
+        counts[name] = len(completed)
+    assert counts == expected
+
+
+def test_units_and_reduced_quotient_ask_for_no_certificate(monkeypatch):
+    asked = []
+    certificate = po.cone_certificate
+    def counted(*args, **kwargs):
+        asked.append(args)
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(po, "cone_certificate", counted)
+    mp.units(HALF)
+    mp.quotient_by_units(HALF)
+    assert asked == []
