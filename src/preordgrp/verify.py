@@ -6,24 +6,29 @@ suite is a seed and a per-pair sample count, probes come from the fixed
 library, and all sampling derives from labelled streams of the seed, so
 two runs with the same seed produce byte-identical reports.
 
-Uniqueness of factorizations is decided structurally, not by sampling:
-a factorization through a morphism is unique exactly when the morphism
-is injective (dually, surjective) on the underlying groups, because two
-factorizations differ by a morphism into its kernel.
-
 The claims live in one table, CLAIMS.  A row builds its cases from the
 seed and the sample count, checks a case into witnesses and counters, and
 may name a mutant source: the (kind, replacement) pairs of wrong
 constructions the check of a case must catch.  One driver, _run, checks
 every case, then reruns the check with each replacement as a keyword
 argument until _MUTATION_BUDGET runs are spent, requiring a witness from
-each.  Sweep claims replace the kernel, cokernel or square of a sampled
-morphism by a `candidate` with an enlarged or punctured cone or a skipped
-quotient generator.  Suite claims take the construction they check:
-`classify`, `collapse`, `torsion_ses`, `units` or `comparison`.  Each
-replacement is wrong on one probe only, so a rerun does a clean run's
-work; one wrong everywhere would make `pretorsion` draw many more pair
-samples.  `ztrivial-*` and `intsolve` have no mutants.
+each.  Suite claims take the construction they check: `classify`,
+`collapse`, `torsion_ses`, `units` or `comparison`.  Each replacement is
+wrong on one probe only, so a rerun does a clean run's work; one wrong
+everywhere would make `pretorsion` draw many more pair samples.
+`ztrivial-*` and `intsolve` have no mutants.
+
+The Z-kernel, Z-cokernel, pullback and pushout claims pass their
+construction, or a mutant `candidate`, to one witness loop, _universal.  A
+limit's mediators enter its apex; a colimit's leave it.  The loop checks
+the shape: the candidate cancels or commutes, and its mono or epi legs
+make mediators unique without sampling, as two differ by a map into the
+kernel.  Then each targeted cone must factor, and one cone drawn per probe
+must factor through exactly the drawn map if drawn through a square's
+apex, else exactly when it cancels the morphism.  Further calls will check
+the ordinary kernel and cokernel, the torsion sequence up to a comparison
+and lifts through Σ, with a zero test as `cancels` or a comparison or lift
+as the expected mediator.
 
 The unit computations are checked against the cone elements whose inverse
 lies in the cone, found by membership queries: the torsion part in
@@ -37,7 +42,7 @@ an inverse of one of its elements before building its completion.
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import monpos as mp
 from . import preord as po
@@ -145,18 +150,27 @@ def _certified(src: po.PreOrdObj, dst: po.PreOrdObj, phi, budget=None):
         return po.UNDECIDED
 
 
-def _factor_through_mono(t: po.PreOrdMor, kobj: po.PreOrdObj, k: po.PreOrdMor):
-    """Solve phi ; k = t with phi cone-preserving; None when impossible."""
-    phi = t.dom.backend.factor_mono(t.map, k.map)
-    mor = _certified(t.dom, kobj, phi, _FACTOR_STATE_CAP)
+def _cone(u: po.PreOrdMor, legs, limit: bool):
+    """The maps u ; leg out of a limit's apex, or leg ; u into a colimit's."""
+    return (po.compose_preord(u, leg) if limit else po.compose_preord(leg, u) for leg in legs)
+
+
+def _factor_through_mono(tests, apex: po.PreOrdObj, legs):
+    """Solve phi ; leg = test for each leg with phi cone-preserving; None
+    when impossible.  Several legs are paired into one map into their sum."""
+    be = apex.backend
+    k = reduce(be.pair, [leg.map for leg in legs])
+    t = reduce(be.pair, [test.map for test in tests])
+    mor = _certified(tests[0].dom, apex, be.factor_mono(t, k), _FACTOR_STATE_CAP)
     if mor is None or mor is po.UNDECIDED:
         return mor
-    return mor if po.mor_eq(po.compose_preord(mor, k), t) else None
+    return mor if all(map(po.mor_eq, _cone(mor, legs, True), tests)) else None
 
 
-def _factor_through_epi(s: po.PreOrdMor, qobj: po.PreOrdObj, q: po.PreOrdMor):
+def _factor_through_epi(tests, apex: po.PreOrdObj, legs):
     """Solve q ; psi = s with psi cone-preserving; None when impossible."""
-    mor = _certified(qobj, s.cod, s.dom.backend.factor_epi(s.map, q.map))
+    (s,), (q,) = tests, legs
+    mor = _certified(apex, s.cod, s.dom.backend.factor_epi(s.map, q.map))
     if mor is None:
         return None
     return mor if po.mor_eq(po.compose_preord(q, mor), s) else None
@@ -188,52 +202,70 @@ def _punctured(obj: po.PreOrdObj):
     return None
 
 
+# --- the universal-property checker ----------------------------------------
+
+
+def _universal(m, suite, stream, mediate, apex, legs, shape, targets, draw, cancels=None):
+    """Witnesses and stats of the universal property of (apex, legs) at m.
+
+    mediate(tests, apex, legs) is the mediator of a cone of test maps, one
+    per leg, or None, or po.UNDECIDED: counted, never a witness.  `shape`
+    is the candidate's (failed, text) conditions.  Targets are (text, tests,
+    expected), draw(stream, probe) gives (tests, expected).  A cone factors
+    through exactly `expected`; if that is None, a target cone need only
+    factor, and a drawn one must factor exactly when cancels(tests) holds.
+    """
+    key = _mor_key(m)
+    stats = {"morphisms": 1}
+    witnesses = [text for failed, text in shape if failed]
+    for text, tests, expected in targets:
+        _bump(stats, "targeted")
+        mediator = mediate(tests, apex, legs)
+        if mediator is po.UNDECIDED:
+            _bump(stats, "undecided")
+        elif mediator is None or expected is not None and not po.mor_eq(mediator, expected):
+            witnesses.append(text)
+    root = DetRng.from_seed(suite.seed).child(stream).child(key)
+    for probe in pr.probes_for(m.dom.universe):
+        tests, expected = draw(root.child(probe.name), probe)
+        _bump(stats, "sampled")
+        vanishes = expected is None and cancels(tests)
+        mediator = mediate(tests, apex, legs)
+        if mediator is po.UNDECIDED:
+            _bump(stats, "undecided")
+        elif expected is not None and (mediator is None or not po.mor_eq(mediator, expected)):
+            witnesses.append(f"probe {probe.name} does not mediate uniquely")
+        elif expected is None and vanishes != (mediator is not None):
+            fault = "cancels but does not factor" if vanishes else "factors without cancelling"
+            witnesses.append(f"probe {probe.name}#0 {fault}")
+        elif vanishes:
+            _bump(stats, "factored")
+    return [f"{key}: {text}" for text in witnesses], stats
+
+
 # --- relative kernel -------------------------------------------------------
 
 
 def _zker_witnesses(m, suite, candidate=None):
     true_kobj, true_k = po.z_kernel(m)
     kobj, k = candidate if candidate is not None else (true_kobj, true_k)
-    stats = {"morphisms": 1}
-    witnesses = []
-    key = _mor_key(m)
-    composite = po.compose_preord(k, m)
-    if not po.is_z_trivial(composite):
-        witnesses.append(f"{key}: candidate does not cancel the morphism")
-    if not m.dom.backend.injective(k.map):
-        witnesses.append(f"{key}: kernel arrow is not injective, factorizations not unique")
-
+    shape = [
+        (not po.is_z_trivial(po.compose_preord(k, m)), "candidate does not cancel the morphism"),
+        (not m.dom.backend.injective(k.map),
+         "kernel arrow is not injective, factorizations not unique"),
+    ]
     # The z-kernel's generators add targeted probes in the abelian universe
     # only: a finite z-kernel's elements are the killed ones, already seen.
-    targets = _killed_cone_elements(m) + m.dom.backend.cone_elements(true_kobj.cone)
-    seen = set()
-    for element in targets:
-        if element in seen:
-            continue
-        seen.add(element)
-        t = _element_probe(m.dom, element)
-        _bump(stats, "targeted")
-        phi = _factor_through_mono(t, kobj, k)
-        if phi is po.UNDECIDED:
-            _bump(stats, "undecided")
-        elif phi is None:
-            witnesses.append(f"{key}: cone element {element} does not factor")
-
-    root = DetRng.from_seed(suite.seed).child("zker-up").child(key)
-    for probe in pr.probes_for(m.dom.universe):
-        t = pr.random_morphism(root.child(probe.name).child(0), probe.obj, m.dom)
-        _bump(stats, "sampled")
-        vanishes = po.is_z_trivial(po.compose_preord(t, m))
-        phi = _factor_through_mono(t, kobj, k)
-        if phi is po.UNDECIDED:
-            _bump(stats, "undecided")
-        elif vanishes and phi is None:
-            witnesses.append(f"{key}: probe {probe.name}#0 cancels but does not factor")
-        elif not vanishes and phi is not None:
-            witnesses.append(f"{key}: probe {probe.name}#0 factors without cancelling")
-        elif phi is not None:
-            _bump(stats, "factored")
-    return witnesses, stats
+    elements = _killed_cone_elements(m) + m.dom.backend.cone_elements(true_kobj.cone)
+    targets = (
+        (f"cone element {x} does not factor", (_element_probe(m.dom, x),), None)
+        for x in dict.fromkeys(elements)
+    )
+    return _universal(
+        m, suite, "zker-up", _factor_through_mono, kobj, (k,), shape, targets,
+        lambda stream, probe: ((pr.random_morphism(stream.child(0), probe.obj, m.dom),), None),
+        lambda tests: po.is_z_trivial(po.compose_preord(tests[0], m)),
+    )
 
 
 def z_kernel_mutants(m: po.PreOrdMor):
@@ -258,31 +290,17 @@ def z_kernel_mutants(m: po.PreOrdMor):
 def _zcok_witnesses(m, suite, candidate=None):
     true_qobj, true_q = po.z_cokernel(m)
     qobj, q = candidate if candidate is not None else (true_qobj, true_q)
-    stats = {"morphisms": 1}
-    witnesses = []
-    key = _mor_key(m)
-    if not po.is_z_trivial(po.compose_preord(m, q)):
-        witnesses.append(f"{key}: candidate does not cancel the morphism")
-    if not m.dom.backend.surjective(q.map):
-        witnesses.append(f"{key}: quotient arrow is not surjective, factorizations not unique")
-
-    _bump(stats, "targeted")
-    if _factor_through_epi(true_q, qobj, q) is None:
-        witnesses.append(f"{key}: the canonical quotient does not factor through the candidate")
-
-    root = DetRng.from_seed(suite.seed).child("zcok-up").child(key)
-    for probe in pr.probes_for(m.dom.universe):
-        s = pr.random_morphism(root.child(probe.name).child(0), m.cod, probe.obj)
-        _bump(stats, "sampled")
-        vanishes = po.is_z_trivial(po.compose_preord(m, s))
-        psi = _factor_through_epi(s, qobj, q)
-        if vanishes and psi is None:
-            witnesses.append(f"{key}: probe {probe.name}#0 cancels but does not factor")
-        elif not vanishes and psi is not None:
-            witnesses.append(f"{key}: probe {probe.name}#0 factors without cancelling")
-        elif psi is not None:
-            _bump(stats, "factored")
-    return witnesses, stats
+    shape = [
+        (not po.is_z_trivial(po.compose_preord(m, q)), "candidate does not cancel the morphism"),
+        (not m.dom.backend.surjective(q.map),
+         "quotient arrow is not surjective, factorizations not unique"),
+    ]
+    targets = [("the canonical quotient does not factor through the candidate", (true_q,), None)]
+    return _universal(
+        m, suite, "zcok-up", _factor_through_epi, qobj, (q,), shape, targets,
+        lambda stream, probe: ((pr.random_morphism(stream.child(0), m.cod, probe.obj),), None),
+        lambda tests: po.is_z_trivial(po.compose_preord(m, tests[0])),
+    )
 
 
 def _first_outside_cone(obj: po.PreOrdObj):
@@ -479,7 +497,7 @@ def verify_adjunctions(suite: ProbeSuite, collapse=lambda obj: po.functor_C(obj)
                 dt = po.functor_D(target.obj)
                 v = pr.random_morphism(root.child(f"out-{target.name}"), X, dt)
                 _bump(stats, "unit-factorizations")
-                psi = _factor_through_epi(v, cobj, pi)
+                psi = _factor_through_epi((v,), cobj, (pi,))
                 if psi is None:
                     witnesses.append(f"{probe.name}: unit factorization to {target.name} failed")
             # both transformations are natural in the probe
@@ -503,64 +521,36 @@ def verify_adjunctions(suite: ProbeSuite, collapse=lambda obj: po.functor_C(obj)
 # --- pullback / pushout characterizations ----------------------------------
 
 
-def _pullback_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
-    """The mediating morphism into the square's corner, or None."""
-    be = a.dom.backend
-    joint = be.pair(square.to_dom.map, square.to_discrete.map)
-    w = be.factor_mono(be.pair(a.map, b.map), joint)
-    mor = _certified(a.dom, square.obj, w, _FACTOR_STATE_CAP)
-    if mor is None or mor is po.UNDECIDED:
-        return mor
-    if not po.mor_eq(po.compose_preord(mor, square.to_dom), a):
-        return None
-    if not po.mor_eq(po.compose_preord(mor, square.to_discrete), b):
-        return None
-    return mor
-
-
 def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
-    stats = {"morphisms": 1}
-    witnesses = []
-    key = _mor_key(m)
     true_square = po.pullback_with_counit(m)
     square = true_square if candidate is None else candidate
-    iota = po.counit_iota(m.cod)
+    legs = (square.to_dom, square.to_discrete)
     left = po.compose_preord(square.to_dom, m)
-    right = po.compose_preord(square.to_discrete, iota)
-    if not po.mor_eq(left, right):
-        witnesses.append(f"{key}: square does not commute")
+    right = po.compose_preord(square.to_discrete, po.counit_iota(m.cod))
     be = m.dom.backend
-    if not be.injective(be.pair(square.to_dom.map, square.to_discrete.map)):
-        witnesses.append(f"{key}: projections are not jointly injective, mediators not unique")
-    if not po.is_isomorphism(square.comparison):
-        witnesses.append(f"{key}: comparison with the relative kernel is not an isomorphism")
-    zk_obj, zk_mor = po.z_kernel(m)
-    if not po.mor_eq(po.compose_preord(square.comparison, square.to_dom), zk_mor):
-        witnesses.append(f"{key}: comparison does not carry the kernel inclusion")
+    shape = [
+        (not po.mor_eq(left, right), "square does not commute"),
+        (not be.injective(be.pair(square.to_dom.map, square.to_discrete.map)),
+         "projections are not jointly injective, mediators not unique"),
+        (not po.is_isomorphism(square.comparison),
+         "comparison with the relative kernel is not an isomorphism"),
+        (not po.mor_eq(po.compose_preord(square.comparison, square.to_dom), po.z_kernel(m)[1]),
+         "comparison does not carry the kernel inclusion"),
+    ]
+    true_legs = (true_square.to_dom, true_square.to_discrete)
+    targets = (
+        (f"corner element {x} does not mediate",
+         tuple(_cone(_element_probe(true_square.obj, x), true_legs, True)), None)
+        for x in be.cone_elements(true_square.obj.cone)
+    )
 
-    for element in be.cone_elements(true_square.obj.cone):
-        t = _element_probe(true_square.obj, element)
-        a = po.compose_preord(t, true_square.to_dom)
-        b = po.compose_preord(t, true_square.to_discrete)
-        _bump(stats, "targeted")
-        w = _pullback_factor(square, a, b)
-        if w is po.UNDECIDED:
-            _bump(stats, "undecided")
-        elif w is None:
-            witnesses.append(f"{key}: corner element {element} does not mediate")
+    def draw(stream, probe):
+        u = pr.random_morphism(stream, probe.obj, square.obj)
+        return tuple(_cone(u, legs, True)), u
 
-    root = DetRng.from_seed(suite.seed).child("pullback").child(key)
-    for probe in pr.probes_for(m.dom.universe):
-        u = pr.random_morphism(root.child(probe.name), probe.obj, square.obj)
-        a = po.compose_preord(u, square.to_dom)
-        b = po.compose_preord(u, square.to_discrete)
-        w = _pullback_factor(square, a, b)
-        _bump(stats, "sampled")
-        if w is po.UNDECIDED:
-            _bump(stats, "undecided")
-        elif w is None or not po.mor_eq(w, u):
-            witnesses.append(f"{key}: probe {probe.name} does not mediate uniquely")
-    return witnesses, stats
+    return _universal(
+        m, suite, "pullback", _factor_through_mono, square.obj, legs, shape, targets, draw
+    )
 
 
 def _punctured_square(square, legs, legs_leave_corner: bool):
@@ -586,56 +576,37 @@ def pullback_mutants(m: po.PreOrdMor):
     return _punctured_square(square, (square.to_dom, square.to_discrete), True)
 
 
-def _pushout_factor(square, a: po.PreOrdMor, b: po.PreOrdMor):
-    """The mediating morphism out of the square's corner, or None."""
-    rows = list(a.map.matrix.to_rows()) + list(b.map.matrix.to_rows())
-    mor = _certified(square.obj, a.cod, rows)
+def _pushout_factor(tests, apex: po.PreOrdObj, legs):
+    """The mediator out of a pushout's corner, the test maps' rows stacked."""
+    rows = [row for t in tests for row in t.map.matrix.to_rows()]
+    mor = _certified(apex, tests[0].cod, rows)
     if mor is None:
         return None
-    if not po.mor_eq(po.compose_preord(square.from_cod, mor), a):
-        return None
-    if not po.mor_eq(po.compose_preord(square.from_stable, mor), b):
-        return None
-    return mor
+    return mor if all(map(po.mor_eq, _cone(mor, legs, False), tests)) else None
 
 
 def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
-    stats = {"morphisms": 1}
-    witnesses = []
-    key = _mor_key(m)
     square = po.pushout_with_unit(m) if candidate is None else candidate
-    cx, pi = po.functor_C(m.dom)
-    left = po.compose_preord(m, square.from_cod)
-    right = po.compose_preord(pi, square.from_stable)
-    if not po.mor_eq(left, right):
-        witnesses.append(f"{key}: square does not commute")
     legs = (square.from_cod, square.from_stable)
-    if any(_certified(leg.dom, square.obj, leg.map) is None for leg in legs):
-        witnesses.append(f"{key}: an injection leg is not cone-preserving")
-    if not po.is_isomorphism(square.comparison):
-        witnesses.append(f"{key}: comparison with the relative cokernel is not an isomorphism")
-    zc_obj, zc_mor = po.z_cokernel(m)
-    if not po.mor_eq(po.compose_preord(zc_mor, square.comparison), square.from_cod):
-        witnesses.append(f"{key}: comparison does not carry the quotient projection")
-
-    _bump(stats, "targeted")
+    left = po.compose_preord(m, square.from_cod)
+    right = po.compose_preord(po.functor_C(m.dom)[1], square.from_stable)
+    shape = [
+        (not po.mor_eq(left, right), "square does not commute"),
+        (any(_certified(leg.dom, square.obj, leg.map) is None for leg in legs),
+         "an injection leg is not cone-preserving"),
+        (not po.is_isomorphism(square.comparison),
+         "comparison with the relative cokernel is not an isomorphism"),
+        (not po.mor_eq(po.compose_preord(po.z_cokernel(m)[1], square.comparison), square.from_cod),
+         "comparison does not carry the quotient projection"),
+    ]
     ident = po.identity_preord(square.obj)
-    a = po.compose_preord(square.from_cod, ident)
-    b = po.compose_preord(square.from_stable, ident)
-    w = _pushout_factor(square, a, b)
-    if w is None or not po.mor_eq(w, ident):
-        witnesses.append(f"{key}: identity does not mediate uniquely")
+    targets = [("identity does not mediate uniquely", tuple(_cone(ident, legs, False)), ident)]
 
-    root = DetRng.from_seed(suite.seed).child("pushout").child(key)
-    for probe in pr.probes_for(po.ABELIAN):
-        u = pr.random_morphism(root.child(probe.name), square.obj, probe.obj)
-        a = po.compose_preord(square.from_cod, u)
-        b = po.compose_preord(square.from_stable, u)
-        w = _pushout_factor(square, a, b)
-        _bump(stats, "sampled")
-        if w is None or not po.mor_eq(w, u):
-            witnesses.append(f"{key}: probe {probe.name} does not mediate uniquely")
-    return witnesses, stats
+    def draw(stream, probe):
+        u = pr.random_morphism(stream, square.obj, probe.obj)
+        return tuple(_cone(u, legs, False)), u
+
+    return _universal(m, suite, "pushout", _pushout_factor, square.obj, legs, shape, targets, draw)
 
 
 def pushout_mutants(m: po.PreOrdMor):
@@ -678,7 +649,7 @@ def verify_mon_torsion_theory(suite: ProbeSuite, torsion_ses=lambda m: mp.torsio
                 h = pr.random_mon_morphism(root.child(f"{tname}->{name}"), t, m)
                 _bump(stats, "kernel-probes")
                 vanishes = po.is_z_trivial(po.compose_preord(h, ses.eta))
-                lift = _factor_through_mono(h, units_obj, ses.kappa)
+                lift = _factor_through_mono((h,), units_obj, (ses.kappa,))
                 if lift is po.UNDECIDED:
                     _bump(stats, "undecided")
                 elif vanishes and lift is None:
@@ -688,7 +659,7 @@ def verify_mon_torsion_theory(suite: ProbeSuite, torsion_ses=lambda m: mp.torsio
                 k = pr.random_mon_morphism(root.child(f"{name}->{tname}"), m, t)
                 _bump(stats, "cokernel-probes")
                 vanishes = po.is_z_trivial(po.compose_preord(ses.kappa, k))
-                desc = _factor_through_epi(k, reduced_obj, ses.eta)
+                desc = _factor_through_epi((k,), reduced_obj, (ses.eta,))
                 if vanishes and desc is None:
                     witnesses.append(f"{name}: {tname} kills units but does not descend")
                 if not vanishes and desc is not None:

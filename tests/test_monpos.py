@@ -42,12 +42,12 @@ def is_reduced(m):
 
 def lift_to_units(h, ses):
     """Lift h: T -> M through the unit inclusion, or None."""
-    return v._factor_through_mono(h, mp.completion_object(ses.torsion), ses.kappa)
+    return v._factor_through_mono((h,), mp.completion_object(ses.torsion), (ses.kappa,))
 
 
 def descend_to_reduced(h, ses):
     """Descend h: M -> T through the reduced quotient, or None."""
-    return v._factor_through_epi(h, mp.completion_object(ses.torsion_free), ses.eta)
+    return v._factor_through_epi((h,), mp.completion_object(ses.torsion_free), (ses.eta,))
 
 
 NAT = monoid(Z, [[1]])

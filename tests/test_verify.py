@@ -272,6 +272,23 @@ class TestSquares:
         assert witnesses
 
 
+class TestUndecided:
+    """A factorization the membership budget cannot settle is counted as
+    undecided, in targeted and drawn cones alike, and is never a witness."""
+
+    @pytest.mark.parametrize("check, stats", [
+        (v._zker_witnesses,
+         {"factored": 6, "morphisms": 1, "sampled": 8, "targeted": 1, "undecided": 1}),
+        # one targeted and one drawn cone
+        (v._pullback_witnesses, {"morphisms": 1, "sampled": 8, "targeted": 1, "undecided": 2}),
+    ], ids=["zker", "pullback"])
+    def test_zero_budget_counts_cones_undecided(self, monkeypatch, check, stats):
+        witnesses, settled = check(PRJ, SUITE)
+        assert witnesses == [] and "undecided" not in settled
+        monkeypatch.setattr(v, "_FACTOR_STATE_CAP", 0)
+        assert check(PRJ, SUITE) == ([], stats)
+
+
 # Replacements for po.touched_unit_generators calling every cone generator
 # a unit, or none.
 WRONG_UNITS = [lambda obj: tuple(range(obj.cone.rows)), lambda obj: ()]
