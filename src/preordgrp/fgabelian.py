@@ -154,21 +154,17 @@ def present_subgroup(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
         sub = make_group(0, [])
         return sub, AbMorphism(sub, g, IntMatrix.zeros(0, g.rank))
     coeff_relations = preimage_lattice(gens, g.relations)  # {c : c*gens == 0 in g}
-    d, _, v = smith_normal_form(coeff_relations)
+    d, v = smith_normal_form(coeff_relations)
     vinv = unimodular_inverse(v)
-    newgens = vinv.mul(gens)
-
-    def invariant(i: int) -> int:
-        return d.entry(i, i) if i < min(d.rows, d.cols) else 0
-
-    keep = [i for i in range(m) if invariant(i) != 1]
+    invariants = [d.entry(i, i) if i < min(d.rows, d.cols) else 0 for i in range(m)]
+    keep = [i for i in range(m) if invariants[i] != 1]
+    newgens = IntMatrix.from_rows([vinv.row(i) for i in keep], cols=m).mul(gens)
     rel_rows = []
     for pos, i in enumerate(keep):
-        di = invariant(i)
-        if di > 1:
-            rel_rows.append(tuple(di if j == pos else 0 for j in range(len(keep))))
+        if invariants[i] > 1:
+            rel_rows.append(tuple(invariants[i] if j == pos else 0 for j in range(len(keep))))
     sub = FgAbGroup(len(keep), hnf_reduced(IntMatrix.from_rows(rel_rows, cols=len(keep))))
-    incl = make_morphism(sub, g, [newgens.row(i) for i in keep])
+    incl = make_morphism(sub, g, newgens)
     return sub, incl
 
 
@@ -206,8 +202,9 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 
 def is_injective(f: AbMorphism) -> bool:
-    k, _ = kernel(f)
-    return k.rank == 0
+    """The kernel's generators, the rows of preimage_lattice, are 0 in f.dom."""
+    lat = preimage_lattice(f.matrix, f.cod.relations)
+    return all(is_zero_element(f.dom, x) for x in lat.to_rows())
 
 
 def is_surjective(f: AbMorphism) -> bool:

@@ -8,13 +8,13 @@ order.
 Conventions fixed here and relied on elsewhere:
   * hermite_normal_form(m) returns (h, u) with u * m = h, u unimodular,
     h in row echelon form with positive pivots and reduced entries above.
-  * smith_normal_form(m) returns (d, u, v) with u * m * v = d diagonal,
-    nonnegative, each entry dividing the next.
+  * smith_normal_form(m) returns (d, v) with u * m * v = d diagonal,
+    nonnegative, each entry dividing the next, for some unimodular u.
   * Transforms ride along as extra columns (row operations) or rows
     (column operations) of the working matrix, so each operation updates
-    its transform with it; hnf_reduced, whose callers read none, builds
-    none.  A unimodular matrix's HNF is the identity, so its HNF transform
-    is its inverse.
+    its transform with it.  Like hnf_reduced, which builds none, the Smith
+    form builds only the transform its callers read, v.  A unimodular
+    matrix's HNF is the identity, so its HNF transform is its inverse.
   * hilbert_basis(a) returns the minimal nonzero solutions of a * x = 0,
     x >= 0, via the Contejean-Devie completion procedure.  It visits the
     same states as the plain loop in tests/hilbert_reference.py, each
@@ -228,14 +228,14 @@ def integer_span(gens: IntMatrix, modulus: IntMatrix) -> IntMatrix:
     return hnf_reduced(gens.stack(modulus))
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (d, u, v) with u * m * v = d, u and v unimodular.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return (d, v) with u * m * v = d for some unimodular u, v unimodular.
 
     d is diagonal with nonnegative entries and d[i] divides d[i+1].
     """
     nrows, ncols = m.rows, m.cols
-    # u rides along as the columns past ncols, v as the rows past nrows.
-    work = [[*m.row(i), *(int(i == j) for j in range(nrows))] for i in range(nrows)]
+    # v rides along as the rows past nrows; no caller reads u.
+    work = [list(m.row(i)) for i in range(nrows)]
     work += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def col_combine(j0: int, j1: int, a: int, b: int, c: int, d_: int):
@@ -288,9 +288,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     else:
                         g, s, t = xgcd(a, b)
                         col_combine(k, j, s, -(b // g), t, a // g)
+            # Row k stays clear: each column step touches only columns k and j.
             if any(work[i][k] for i in range(k + 1, nrows)):
-                continue
-            if any(work[k][j] for j in range(k + 1, ncols)):
                 continue
             # Enforce divisibility of the trailing block by the pivot.
             pivot_val = work[k][k]
@@ -307,9 +306,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             row_combine(k, culprit, 1, 1, 0, 1)
         if work[k][k] < 0:
             work[k] = [-x for x in work[k]]
-    d = IntMatrix.from_rows([r[:ncols] for r in work[:nrows]], cols=ncols)
-    u = IntMatrix.from_rows([r[ncols:] for r in work[:nrows]], cols=nrows)
-    return d, u, IntMatrix.from_rows(work[nrows:], cols=ncols)
+    d = IntMatrix.from_rows(work[:nrows], cols=ncols)
+    return d, IntMatrix.from_rows(work[nrows:], cols=ncols)
 
 
 def solve_left(h: IntMatrix, b: Vec) -> Vec | None:
@@ -477,7 +475,7 @@ def _congruence_columns(gens: IntMatrix, modulus: IntMatrix, x: Vec | None) -> l
     n = gens.cols
     if modulus.cols != n or (x is not None and len(x) != n):
         raise DimensionError("modulus and target must match generator columns")
-    d, _, v = smith_normal_form(modulus)
+    d, v = smith_normal_form(modulus)
     factors = [f for f in (d.entry(i, i) for i in range(min(d.rows, n))) if f]
     mods = [(v.col(i), f) for i, f in enumerate(factors) if f > 1]
     free = _size_reduced([v.col(i) for i in range(len(factors), n)])

@@ -6,8 +6,8 @@ units, torsion and torsion-free parts, and a non-abelian cone.  The
 samplers draw random objects and morphisms from a deterministic stream;
 a sampler never fails, it falls back to the zero morphism when rejection
 sampling finds nothing better, so sample counts stay exact.  Each universe
-has one catalogue (its probes and its object sampler); the morphism
-sampler is one loop over the preord backend's candidate maps.
+has one catalogue (its probes and its object sampler); both morphism
+samplers retry in one loop, over the backend's or the monoid's candidates.
 """
 
 from dataclasses import dataclass
@@ -168,19 +168,22 @@ def random_object(rng: DetRng, universe: str) -> po.PreOrdObj:
 SAMPLER_STATE_CAP = 1_500
 
 
-def random_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.PreOrdMor:
-    """The first candidate map that provably carries dom's cone into cod's,
-    or the zero morphism when MORPHISM_TRIES candidates fail."""
+def _sampled(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj, draw) -> po.PreOrdMor:
+    """The first map draw(rng, dom, cod) that provably carries dom's cone
+    into cod's, or the zero morphism when MORPHISM_TRIES candidates fail."""
     if dom.universe != cod.universe:
         raise ValidationError("morphisms do not cross universes")
-    be = dom.backend
     for _ in range(MORPHISM_TRIES):
         try:
-            f = be.draw_map(rng, dom, cod)
-            return po.make_morphism(dom, cod, f, SAMPLER_STATE_CAP)
+            return po.make_morphism(dom, cod, draw(rng, dom, cod), SAMPLER_STATE_CAP)
         except (ValidationError, ResourceLimitError):
             continue
     return po.zero_preord(dom, cod)
+
+
+def random_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.PreOrdMor:
+    """A sampled map of the backend's candidates; see _sampled."""
+    return _sampled(rng, dom, cod, dom.backend.draw_map)
 
 
 def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
@@ -193,18 +196,11 @@ def random_morphism_sample(rng: DetRng, universe: str) -> po.PreOrdMor:
 def random_mon_morphism(rng: DetRng, dom: po.PreOrdObj, cod: po.PreOrdObj) -> po.PreOrdMor:
     """A valid monoid morphism dom -> cod, between their completion objects;
     zero when MORPHISM_TRIES draws fail."""
-    if dom.universe != cod.universe:
-        raise ValidationError("morphisms do not cross universes")
     source, target = mp.completion_object(dom), mp.completion_object(cod)
     if dom.universe == po.FINITE:
         # a finite completion is the whole monoid: any map of them will do
         return random_morphism(rng, source, target)
-    ngen = dom.cone.rows
-    mgen = cod.cone.rows
-    for _ in range(MORPHISM_TRIES):
-        rows = [[rng.randint(0, 3) for _ in range(mgen)] for _ in range(ngen)]
-        try:
-            return po.make_morphism(source, target, rows)
-        except ValidationError:
-            continue
-    return po.zero_preord(source, target)
+    # nonnegative rows into a basis cone are their own certificates
+    return _sampled(rng, source, target, lambda rng, s, t: [
+        [rng.randint(0, 3) for _ in range(t.group.rank)] for _ in range(s.group.rank)
+    ])

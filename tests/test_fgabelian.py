@@ -35,6 +35,13 @@ def rand_mor(rng, dom, cod, tries=40):
     return ab.zero_morphism(dom, cod)
 
 
+def torsion_rows(rng, rank):
+    """k * e_i for one i and k in 2..6, then at most one random row."""
+    i, k = rng.randrange(rank), rng.randint(2, 6)
+    extra = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rng.randint(0, 1))]
+    return [[k if j == i else 0 for j in range(rank)], *extra]
+
+
 class TestGroupsAndElements:
     def test_element_eq_mod_torsion(self):
         assert ab.element_eq(Z2, (1,), (3,))
@@ -84,6 +91,27 @@ class TestKernelCokernel:
         K, incl = ab.kernel(f)
         assert K.rank == 0
         assert ab.is_injective(f)
+
+    def test_non_injective_maps(self):
+        assert not ab.is_injective(ab.make_morphism(Z, Z2, [[1]]))
+        assert not ab.is_injective(ab.make_morphism(ZZ, Z, [[1], [0]]))
+        assert not ab.is_injective(ab.make_morphism(Z4, Z2, [[1]]))
+
+    def test_injective_exactly_when_the_kernel_is_trivial(self):
+        # torsion on both sides: the codomain holds the images of the
+        # domain's relations and a torsion relation of its own
+        rng = random.Random(3407)
+        outcomes = []
+        for _ in range(300):
+            rank, cod_rank = rng.randint(1, 3), rng.randint(1, 3)
+            dom = ab.make_group(rank, torsion_rows(rng, rank))
+            m = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(cod_rank)] for _ in range(rank)])
+            images = [row_times_matrix(r, m) for r in dom.relations.to_rows()]
+            cod = ab.make_group(cod_rank, images + torsion_rows(rng, cod_rank))
+            f = ab.make_morphism(dom, cod, m)
+            outcomes.append(ab.is_injective(f))
+            assert outcomes[-1] == (ab.kernel(f)[0].rank == 0), f
+        assert outcomes.count(False) > 100 and outcomes.count(True) > 30, outcomes.count(False)
 
     def test_kernel_of_quotient_is_even_integers(self):
         qm = ab.make_morphism(Z, Z2, [[1]])
