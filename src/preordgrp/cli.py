@@ -136,14 +136,11 @@ def _construct(args) -> tuple[str, int]:
 
 
 def _run_check(args) -> tuple[str, int]:
-    certs = v.run_all(args.seed, args.samples)
-    text = v.format_certificates(certs)
-    return text, 0 if all(c.passed for c in certs) else 3
-
-
-def _run_check_one(args) -> tuple[str, int]:
-    cert = v.run_claim(args.claim, args.seed, args.samples)
-    return v.format_certificate(cert) + "\n", 0 if cert.passed else 3
+    if args.command == "check":
+        certs = v.run_all(args.seed, args.samples)
+    else:
+        certs = [v.run_claim(args.claim, args.seed, args.samples)]
+    return v.format_certificates(certs), 0 if all(c.passed for c in certs) else 3
 
 
 @lru_cache(maxsize=1)
@@ -160,15 +157,13 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--universe-cap", type=order_cap, default=fg.ORDER_CAP, help="finite order cap override"
         )
-    p = sub.add_parser("check")
-    p.set_defaults(run=_run_check)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_int_in(1), default=None)
-    p = sub.add_parser("check-one")
-    p.set_defaults(run=_run_check_one)
-    p.add_argument("claim", help="one of " + ", ".join(v.claim_names()))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_int_in(1), default=None)
+    for command in ("check", "check-one"):
+        p = sub.add_parser(command)
+        p.set_defaults(run=_run_check)
+        if command == "check-one":
+            p.add_argument("claim", help="one of " + ", ".join(v.claim_names()))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=_int_in(1), default=None)
     return parser
 
 

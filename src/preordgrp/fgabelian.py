@@ -163,7 +163,8 @@ def present_subgroup(g: FgAbGroup, gen_rows) -> tuple[FgAbGroup, AbMorphism]:
     for pos, i in enumerate(keep):
         if invariants[i] > 1:
             rel_rows.append(tuple(invariants[i] if j == pos else 0 for j in range(len(keep))))
-    sub = FgAbGroup(len(keep), hnf_reduced(IntMatrix.from_rows(rel_rows, cols=len(keep))))
+    # rows f * e_pos, f > 1, at increasing positions: already HNF-reduced
+    sub = FgAbGroup(len(keep), IntMatrix.from_rows(rel_rows, cols=len(keep)))
     incl = make_morphism(sub, g, newgens)
     return sub, incl
 

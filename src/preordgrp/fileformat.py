@@ -25,6 +25,7 @@ Every printed block re-loads to a structurally equal entity.
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import fgabelian as ab
 from . import finitegroup as fg
@@ -89,17 +90,19 @@ def _parse_finite_object(cur: deque, header_line: int, cap):
         raise ParseError("expected 'table'", lineno)
     cur.popleft()
     # Fast path: a row of `order` canonical tokens "0" .. str(order - 1) maps
-    # through one lookup; any other row ("07", "+3", "1_0", a bad token or
-    # length, an entry out of range) goes through _ints, so through int().
-    # The lookup stops at the order cap, which make_finite_group enforces.
+    # through one lookup, to bytes up to order 256, else to a tuple; any other
+    # row ("07", "+3", "1_0", a bad token or length, an entry out of range)
+    # goes through _ints, so through int().  The lookup stops at the order
+    # cap, which make_finite_group enforces.
     lookup = {str(a): a for a in range(min(order, cap))}
+    as_row = bytes if order <= 256 else tuple
     rows = []
     for _ in range(order):
         if not cur:
             raise ParseError(f"table needs {order} rows", lineno)
         row_lineno, row_tokens = cur.popleft()
         try:
-            row = tuple(map(lookup.__getitem__, row_tokens))
+            row = as_row(map(lookup.__getitem__, row_tokens))
         except KeyError:
             row = ()
         rows.append(row if len(row) == order else _ints(row_tokens, row_lineno, order))
@@ -204,8 +207,8 @@ def format_object(name: str, obj: po.PreOrdObj) -> str:
         n, table = obj.group.order, obj.group.table
         names = [str(a) for a in range(n)]
         for i in range(0, n * n, n):
-            # join on a list: faster than on a generator or map(...)
-            lines.append(" ".join([names[v] for v in table[i : i + n]]))
+            # one C-level gather per row; at n = 1 it returns the string "0"
+            lines.append(" ".join(itemgetter(*table[i : i + n])(names)))
         lines.append(_int_line("cone", sorted(obj.cone)))
     return "\n".join(lines)
 

@@ -13,7 +13,11 @@ each element over them.  Three checks run on the generators alone:
 - Associativity (Light's test): the g with (ag)c = a(gc) for all a, c
   contain 0 and are closed under the product, (a(gh))c = ((ag)h)c =
   (ag)(hc) = a(g(hc)) = a((gh)c), without assuming associativity.  Once
-  they hold the generators they hold every element.
+  they hold the generators they hold every element.  Row a.g must equal
+  row g read through row a: up to order 256 the rows are bytes and one
+  bytes.translate reads row g through row a padded to 256 bytes; above
+  that, where entries no longer fit a byte, an itemgetter over row g
+  gathers from the tuple row a.
 - Homomorphisms: f(ag) = f(a)f(g) for all a and for g = 0 and each
   generator gives f(0) = 0 and, by induction on the word length of b = b'g,
   f(ab) = f((ab')g) = f(ab')f(g) = f(a)f(b')f(g) = f(a)f(b).
@@ -21,15 +25,16 @@ each element over them.  Three checks run on the generators alone:
   the product, as (xy)S(xy)^-1 = x(ySy^-1)x^-1.
 
 `make_finite_group` checks entry types and ranges on the whole table, then
-the group axioms: identity, Light's test, and a 0 in every row.  Right
-inverses are two-sided in a finite monoid (a . b = 0 makes x -> b . x
-injective, so b . c = 0 for some c, and a = (a . b) . c = c), so the table
-is a group's, where a . x = b and x . a = b have the one solutions a^-1 . b
-and b . a^-1: a Latin square.  The row and column scan runs only when an
-axiom fails.  A failed check, here as in the homomorphism and normality
-checks, reruns the element-by-element scan in its fixed order, so each
-witness is the first failing one; only the associativity triple depends
-on the generators.
+the group axioms: identity, Light's test, and a 0 in every row.  The type
+check skips bytes rows, which the parser builds up to order 256: their
+entries are ints by construction.  Right inverses are two-sided in a
+finite monoid (a . b = 0 makes x -> b . x injective, so b . c = 0 for some
+c, and a = (a . b) . c = c), so the table is a group's, where a . x = b and
+x . a = b have the one solutions a^-1 . b and b . a^-1: a Latin square.
+The row and column scan runs only when an axiom fails.  A failed check,
+here as in the homomorphism and normality checks, reruns the
+element-by-element scan in its fixed order, so each witness is the first
+failing one; only the associativity triple depends on the generators.
 """
 
 from dataclasses import dataclass
@@ -53,7 +58,7 @@ class FiniteGroup:
     @cached_property
     def inverses(self) -> tuple:
         n, table = self.order, self.table
-        return tuple(table[a : a + n].index(0) for a in range(0, n * n, n))
+        return tuple(table.index(0, a, a + n) - a for a in range(0, n * n, n))
 
     @cached_property
     def generators(self) -> tuple:
@@ -67,13 +72,8 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple:
-        orders = []
-        for a in range(self.order):
-            x, n = a, 1
-            while x != 0:
-                x, n = self.mul(x, a), n + 1
-            orders.append(n)
-        return tuple(orders)
+        """The order of a is the size of the cyclic subgroup {0, a, a.a, ...}."""
+        return tuple(len(_closure_set(self.table, self.order, (a,))) for a in range(self.order))
 
     @cached_property
     def generator_words(self) -> tuple:
@@ -117,24 +117,30 @@ def _closure_set(table, order, gens):
 def _light_witness(rows, gens):
     """The first (a, g, c) with (a . g) . c != a . (g . c), or None."""
     n = len(rows)
+    if n > 256:
+        rows = maps = [tuple(r) for r in rows]  # no byte rows: entries reach 256
+    else:  # row a padded to 256 bytes is a translation table
+        rows = [bytes(r) for r in rows]
+        maps = [r + bytes(256 - n) for r in rows]
     for g in gens:
-        times_g = itemgetter(*rows[g])  # row a.g must be row a read at row g
+        times_g = rows[g].translate if n <= 256 else itemgetter(*rows[g])
         for a in range(n):
-            if rows[rows[a][g]] != times_g(rows[a]):
+            if rows[rows[a][g]] != times_g(maps[a]):
                 c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][rows[g][c]])
                 return a, g, c
     return None
 
 
 def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
-    rows = [tuple(r) for r in rows]
+    rows = [r if isinstance(r, bytes) else tuple(r) for r in rows]
     n = len(rows)
     if n == 0:
         raise ValidationError("empty multiplication table")
     if n > cap:
         raise ResourceLimitError(f"group order {n} exceeds cap {cap}")
     flat = tuple(chain.from_iterable(rows))
-    well_typed = {int}.issuperset(map(type, flat)) and set(range(n)).issuperset(flat)
+    unsure = chain.from_iterable(r for r in rows if not isinstance(r, bytes))
+    well_typed = {int}.issuperset(map(type, unsure)) and set(range(n)).issuperset(flat)
     if not well_typed or set(map(len, rows)) != {n}:
         for a, row in enumerate(rows):
             if len(row) != n:

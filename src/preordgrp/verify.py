@@ -43,6 +43,7 @@ an inverse of one of its elements before building its completion.
 import hashlib
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from itertools import product
 
 from . import monpos as mp
 from . import preord as po
@@ -769,22 +770,11 @@ def verify_completion_theorem(suite: ProbeSuite, comparison=lambda m: mp.compari
 
 def _brute_minimal_zero_solutions(system: IntMatrix, bound: int = 6) -> frozenset:
     """Exhaustive minimal nonneg solutions of system . x = 0, coords <= bound."""
-    n = system.cols
-    sols = []
-    counters = [0] * n
-    while True:
-        x = tuple(counters)
-        if any(x) and all(
-            vec_dot(system.row(i), x) == 0 for i in range(system.rows)
-        ):
-            sols.append(x)
-        i = 0
-        while i < n and counters[i] == bound:
-            counters[i] = 0
-            i += 1
-        if i == n:
-            break
-        counters[i] += 1
+    sols = [
+        x
+        for x in product(range(bound + 1), repeat=system.cols)
+        if any(x) and all(vec_dot(system.row(i), x) == 0 for i in range(system.rows))
+    ]
     minimal = [
         x
         for x in sols

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lattice_reference import solve_integer
 from preordgrp import fgabelian as ab
 from preordgrp.errors import ResourceLimitError, ValidationError
-from preordgrp.intmat import IntMatrix, row_times_matrix
+from preordgrp.intmat import IntMatrix, hnf_reduced, row_times_matrix
 
 Z = ab.make_group(1, [])
 Z2 = ab.make_group(1, [[2]])
@@ -201,6 +201,19 @@ class TestSubgroupsQuotients:
             for row in gens:
                 alpha = ab.make_morphism(Z, g, [row])
                 assert ab.factor_through_injection(alpha, incl) is not None
+
+    def test_subgroup_relations_come_reduced_random(self):
+        # the relation rows f * e_pos (f > 1, increasing positions) are
+        # already in reduced Hermite form, so no normal form is applied
+        rng = random.Random(44)
+        torsion = 0
+        for _ in range(200):
+            g = rand_group(rng)
+            rows = [[rng.randint(-4, 4) for _ in range(g.rank)] for _ in range(rng.randint(0, 4))]
+            sub, _ = ab.present_subgroup(g, rows)
+            assert sub.relations == hnf_reduced(sub.relations)
+            torsion += sub.relations.rows > 0
+        assert torsion > 20
 
 
 class TestDirectSum:

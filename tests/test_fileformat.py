@@ -70,6 +70,12 @@ class TestRoundTrip:
         back = ff.parse_workspace(ff.format_object("triv", obj)).objects["triv"]
         assert back.group == obj.group
 
+    @pytest.mark.parametrize("n,table", [(1, "0"), (2, "0 1\n1 0")])
+    def test_table_rows_print_as_joined_names(self, n, table):
+        # at n = 1 the row gather returns one name, not a tuple of names
+        text = ff.format_object("c", po.discrete_object(fg.cyclic_group(n)))
+        assert text == f"object c\nuniverse finite\norder {n}\ntable\n{table}\ncone 0"
+
     def test_morphism_into_rank_zero(self):
         ws = ff.Workspace()
         ws.objects["zz"] = po.make_object(ab.make_group(2, []), [[1, 0], [0, 1]])

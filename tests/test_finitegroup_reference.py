@@ -9,7 +9,9 @@ error messages must agree, except for the triple that witnesses a failed
 associativity check: the two generating sets can differ on a table that is
 not associative, so there the new triple only has to fail.  Normal
 closures, quotients and unit cones are compared with the reference
-constructions on every group of the probes' finite catalogue.
+constructions on every group of the probes' finite catalogue.  Tables up
+to order 256 and one above it, intact and corrupted, are also fed as bytes,
+tuple and list rows, which must all give the same outcome.
 """
 
 import itertools
@@ -258,3 +260,80 @@ def test_row_lengths_are_checked_row_by_row():
     rows[0][5] = 12
     expected = ("ValidationError", "table entry at (0, 5) is 12", None)
     assert outcome(fg.make_finite_group, rows) == outcome(ref.make_finite_group, rows) == expected
+
+
+def row_forms(rows):
+    """The table as tuple rows, list rows and, when every entry fits a
+    byte, bytes rows, as the parser builds them up to order 256."""
+    forms = [[tuple(r) for r in rows], [list(r) for r in rows]]
+    if all(type(e) is int and 0 <= e < 256 for r in rows for e in r):
+        forms.append([bytes(r) for r in rows])
+    return forms
+
+
+def assert_row_forms_agree(rows):
+    """Every row form gives one outcome, and it is the reference's."""
+    outcomes = [outcome(fg.make_finite_group, form) for form in row_forms(rows)]
+    assert outcomes[1:] == outcomes[:1] * (len(outcomes) - 1)
+    if isinstance(outcomes[0], fg.FiniteGroup):
+        assert type(outcomes[0].table) is tuple
+        assert {int} == set(map(type, outcomes[0].table))
+    assert_same_table_outcome(rows)
+
+
+def corruptions(rng, group, rows):
+    """(name, rows) for each way of breaking a group table."""
+    n = len(rows)
+    a, b = rng.randrange(1, n), rng.randrange(1, n)
+    other = rng.choice([c for c in range(n) if c not in (a, b)])
+    out = [("swapped-pair", flipped_intercalate(rng, group, rows))]
+    for name, (r, c, value) in [
+        ("repeated-entry", (a, b, rows[a][other])),
+        ("left-identity", (0, b, rows[0][other])),
+        ("right-identity", (a, 0, rows[other][0])),
+        ("entry-n", (a, b, n)),
+        ("entry-true", (a, b, True)),
+    ]:
+        changed = [row[:] for row in rows]
+        changed[r][c] = value
+        out.append((name, changed))
+    return [(name, changed) for name, changed in out if changed is not None]
+
+
+ROW_FORM_ORDERS = sorted(
+    random.Random("row-forms").sample([n for n in range(61, 256) if gen.factorizations(n)], 4)
+) + [256]
+
+
+@pytest.mark.parametrize("order", ROW_FORM_ORDERS)
+def test_row_forms_match_reference(order):
+    """Bytes, tuple and list rows of seeded groups up to order 256, whose
+    Light's test reads rows through bytes.translate, and of corrupted
+    copies give the reference's group, or its message and witness."""
+    rng = random.Random(f"row-forms:{order}")
+    factors = rng.choice(gen.factorizations(order))
+    rows = rows_of(*gen.product_table(factors))
+    group = fg.make_finite_group(rows)
+    assert_row_forms_agree(rows)
+    for name, changed in corruptions(rng, group, rows):
+        if name == "entry-n" and order == 256:
+            assert len(row_forms(changed)) == 2  # 256 does not fit a byte
+        assert_row_forms_agree(changed)
+
+
+def test_row_forms_above_256_match_reference():
+    """Above order 256 Light's test gathers tuple rows through itemgetter."""
+    catalog = dict(pr.finite_catalog())
+    group = fg.product_group(catalog["S4"], catalog["D6"])
+    assert group.order == 288
+    rows = rows_of(group.order, group.table)
+    assert_row_forms_agree(rows)
+    for _, changed in corruptions(random.Random("row-forms:288"), group, rows):
+        assert_row_forms_agree(changed)
+    # a bytes row among tuple rows: it cannot hold 256 or more, so here it
+    # repeats an element, and Light's test, which runs before the row scan,
+    # reads it as a tuple
+    mixed = [tuple(row) for row in rows]
+    mixed[1] = bytes([1, 0, *range(2, 256), *range(32)])
+    expected = ("ValidationError", "row 1 repeats an element", 1)
+    assert outcome(fg.make_finite_group, mixed) == outcome(ref.make_finite_group, mixed) == expected
