@@ -18,17 +18,18 @@ wrong on one probe only, so a rerun does a clean run's work; one wrong
 everywhere would make `pretorsion` draw many more pair samples.
 `ztrivial-*` and `intsolve` have no mutants.
 
-The Z-kernel, Z-cokernel, pullback and pushout claims pass their
-construction, or a mutant `candidate`, to one witness loop, _universal.  A
-limit's mediators enter its apex; a colimit's leave it.  The loop checks
-the shape: the candidate cancels or commutes, and its mono or epi legs
-make mediators unique without sampling, as two differ by a map into the
-kernel.  Then each targeted cone must factor, and one cone drawn per probe
-must factor through exactly the drawn map if drawn through a square's
-apex, else exactly when it cancels the morphism.  Further calls will check
-the ordinary kernel and cokernel, the torsion sequence up to a comparison
-and lifts through Σ, with a zero test as `cancels` or a comparison or lift
-as the expected mediator.
+Every universal property is checked by one witness loop, _universal.  The
+Z-kernel, Z-cokernel, pullback and pushout claims pass it their
+construction, or a mutant `candidate`.  The suite claims pass it the legs κ
+and η of (G, U) -> (G, P) ->> (G/U, P/U) as each other's Z-kernel and
+Z-cokernel, the counit ι: D(X) -> X and unit π: X ->> C(X), and the legs of
+U(M) -> M ->> M/U(M), each under a stat prefix.  A limit's mediators enter
+its apex; a colimit's leave it.  The loop checks the shape: the candidate
+cancels or commutes, and its mono or epi legs make mediators unique without
+sampling, as two differ by a map into the kernel.  Then each targeted cone
+must factor, and one cone drawn per probe must factor through exactly the
+expected mediator (a square's drawn map, ι's lift) if there is one, else
+exactly when it cancels the morphism.
 
 The unit computations are checked against the cone elements whose inverse
 lies in the cone, found by membership queries: the torsion part in
@@ -87,6 +88,14 @@ def format_certificates(certs) -> str:
 
 def _bump(stats: dict, label: str, n: int = 1) -> None:
     stats[label] = stats.get(label, 0) + n
+
+
+def _fold(stats: dict, witnesses: list, result, prefix: str = "", tag: str = "") -> None:
+    """Add a check's (witnesses, stats) to a claim's: labels after prefix, witnesses after tag."""
+    found, counts = result
+    witnesses += [tag + w for w in found]
+    for label, n in counts.items():
+        _bump(stats, prefix + label, n)
 
 
 def _digest(data) -> str:
@@ -206,7 +215,7 @@ def _punctured(obj: po.PreOrdObj):
 # --- the universal-property checker ----------------------------------------
 
 
-def _universal(m, suite, stream, mediate, apex, legs, shape, targets, draw, cancels=None):
+def _universal(m, suite, stream, mediate, apex, legs, draw, shape=(), targets=(), cancels=None):
     """Witnesses and stats of the universal property of (apex, legs) at m.
 
     mediate(tests, apex, legs) is the mediator of a cone of test maps, one
@@ -214,7 +223,7 @@ def _universal(m, suite, stream, mediate, apex, legs, shape, targets, draw, canc
     is the candidate's (failed, text) conditions.  Targets are (text, tests,
     expected), draw(stream, probe) gives (tests, expected).  A cone factors
     through exactly `expected`; if that is None, a target cone need only
-    factor, and a drawn one must factor exactly when cancels(tests) holds.
+    factor, and a drawn one must factor exactly when cancels(*tests) holds.
     """
     key = _mor_key(m)
     stats = {"morphisms": 1}
@@ -230,7 +239,7 @@ def _universal(m, suite, stream, mediate, apex, legs, shape, targets, draw, canc
     for probe in pr.probes_for(m.dom.universe):
         tests, expected = draw(root.child(probe.name), probe)
         _bump(stats, "sampled")
-        vanishes = expected is None and cancels(tests)
+        vanishes = expected is None and cancels(*tests)
         mediator = mediate(tests, apex, legs)
         if mediator is po.UNDECIDED:
             _bump(stats, "undecided")
@@ -263,9 +272,9 @@ def _zker_witnesses(m, suite, candidate=None):
         for x in dict.fromkeys(elements)
     )
     return _universal(
-        m, suite, "zker-up", _factor_through_mono, kobj, (k,), shape, targets,
+        m, suite, "zker-up", _factor_through_mono, kobj, (k,),
         lambda stream, probe: ((pr.random_morphism(stream.child(0), probe.obj, m.dom),), None),
-        lambda tests: po.is_z_trivial(po.compose_preord(tests[0], m)),
+        shape, targets, lambda t: po.is_z_trivial(po.compose_preord(t, m)),
     )
 
 
@@ -298,9 +307,9 @@ def _zcok_witnesses(m, suite, candidate=None):
     ]
     targets = [("the canonical quotient does not factor through the candidate", (true_q,), None)]
     return _universal(
-        m, suite, "zcok-up", _factor_through_epi, qobj, (q,), shape, targets,
+        m, suite, "zcok-up", _factor_through_epi, qobj, (q,),
         lambda stream, probe: ((pr.random_morphism(stream.child(0), m.cod, probe.obj),), None),
-        lambda tests: po.is_z_trivial(po.compose_preord(m, tests[0])),
+        shape, targets, lambda t: po.is_z_trivial(po.compose_preord(m, t)),
     )
 
 
@@ -373,17 +382,11 @@ def verify_pretorsion_axioms(suite: ProbeSuite, classify=lambda obj: po.classify
                 witnesses.append(f"{probe.name}: quotient part fails the torsion-free test")
             if not _same_cone(seq.torsion, _invertible_part(probe.obj)):
                 witnesses.append(f"{probe.name}: torsion part differs from the invertible part")
-            be = probe.obj.backend
-            zk_obj, zk_mor = po.z_kernel(seq.eta)
-            if not (_same_cone(zk_obj, seq.torsion) and be.map_eq(zk_mor.map, seq.kappa.map)):
-                witnesses.append(f"{probe.name}: left leg is not the relative kernel of the right leg")
-            zc_obj, zc_mor = po.z_cokernel(seq.kappa)
-            if not (
-                zc_obj.group == seq.torsion_free.group
-                and _same_cone(zc_obj, seq.torsion_free)
-                and be.map_eq(zc_mor.map, seq.eta.map)
-            ):
-                witnesses.append(f"{probe.name}: right leg is not the relative cokernel of the left leg")
+            # kappa is the Z-kernel of eta, and eta the Z-cokernel of kappa
+            zker = _zker_witnesses(seq.eta, suite, (seq.torsion, seq.kappa))
+            _fold(stats, witnesses, zker, "zker-", f"{probe.name}: ")
+            zcok = _zcok_witnesses(seq.kappa, suite, (seq.torsion_free, seq.eta))
+            _fold(stats, witnesses, zcok, "zcok-", f"{probe.name}: ")
             cls = classify(probe.obj)
             if cls.torsion:
                 torsion_pool.append(probe)
@@ -455,23 +458,14 @@ def verify_adjunctions(suite: ProbeSuite, collapse=lambda obj: po.functor_C(obj)
             be = X.backend
             dx = po.functor_D(X)
             iota = po.counit_iota(X)
-            _bump(stats, "probes")
             if po.functor_D(dx) != dx:
                 witnesses.append(f"{probe.name}: discretization is not idempotent")
             if not po.mor_eq(po.functor_D_mor(iota), po.identity_preord(dx)):
                 witnesses.append(f"{probe.name}: discretized counit is not the identity")
-            if not be.injective(iota.map):
-                witnesses.append(f"{probe.name}: counit is not mono")
             if X.cone == dx.cone and not po.mor_eq(iota, po.identity_preord(X)):
                 witnesses.append(f"{probe.name}: counit on a discrete object is not the identity")
 
             cobj, pi = collapse(X)
-            if not po.is_z_trivial(pi):
-                witnesses.append(f"{probe.name}: unit does not collapse the cone")
-            if not be.surjective(pi.map):
-                witnesses.append(f"{probe.name}: unit is not surjective")
-            if cobj.cone != po.discrete_object(cobj.group).cone:
-                witnesses.append(f"{probe.name}: collapse target is not discrete")
             if X.cone == dx.cone:
                 # an abelian collapse re-presents the group, so it can only
                 # be idempotent; a finite one must leave the group alone
@@ -482,23 +476,28 @@ def verify_adjunctions(suite: ProbeSuite, collapse=lambda obj: po.functor_C(obj)
                 elif cobj.group != X.group:
                     witnesses.append(f"{probe.name}: collapse of a discrete object changed it")
 
-            # counit factorizations: morphisms out of discrete objects lift
-            root = DetRng.from_seed(suite.seed).child("adjunction").child(probe.name)
-            for source in probes:
-                ds = po.functor_D(source.obj)
-                u = pr.random_morphism(root.child(f"in-{source.name}"), ds, X)
-                _bump(stats, "counit-factorizations")
-                lift = po.make_morphism(ds, dx, u.map)
-                if not po.mor_eq(po.compose_preord(lift, iota), u):
-                    witnesses.append(f"{probe.name}: counit lift of {source.name} does not compose back")
-            # unit factorizations: morphisms into discrete objects descend
-            for target in probes:
-                dt = po.functor_D(target.obj)
-                v = pr.random_morphism(root.child(f"out-{target.name}"), X, dt)
-                _bump(stats, "unit-factorizations")
-                psi = _factor_through_epi((v,), cobj, (pi,))
-                if psi is None:
-                    witnesses.append(f"{probe.name}: unit factorization to {target.name} failed")
+            # a map D(S) -> X lifts through the counit to exactly D(S) -> D(X),
+            # and a map X -> D(T) descends through the unit
+            def lift(stream, source):
+                u = pr.random_morphism(stream, po.functor_D(source.obj), X)
+                return (u,), po.PreOrdMor(u.dom, dx, u.map)
+
+            counit_shape = [(not be.injective(iota.map), "counit is not mono")]
+            counit = _universal(
+                iota, suite, "adjunction", _factor_through_mono, dx, (iota,), lift, counit_shape
+            )
+            _fold(stats, witnesses, counit, "counit-", f"{probe.name}: ")
+            unit_shape = [
+                (not po.is_z_trivial(pi), "unit does not collapse the cone"),
+                (not be.surjective(pi.map), "unit is not surjective"),
+                (po.functor_D(cobj) != cobj, "collapse target is not discrete"),
+            ]
+            unit = _universal(
+                pi, suite, "adjunction", _factor_through_epi, cobj, (pi,),
+                lambda stream, t: ((pr.random_morphism(stream, X, po.functor_D(t.obj)),), None),
+                unit_shape, cancels=po.is_z_trivial,
+            )
+            _fold(stats, witnesses, unit, "unit-", f"{probe.name}: ")
             # both transformations are natural in the probe
             for source in probes:
                 for f in _pair_samples(suite.seed, source, probe, 1):
@@ -548,7 +547,7 @@ def _pullback_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
         return tuple(_cone(u, legs, True)), u
 
     return _universal(
-        m, suite, "pullback", _factor_through_mono, square.obj, legs, shape, targets, draw
+        m, suite, "pullback", _factor_through_mono, square.obj, legs, draw, shape, targets
     )
 
 
@@ -605,7 +604,7 @@ def _pushout_witnesses(m: po.PreOrdMor, suite: ProbeSuite, candidate=None):
         u = pr.random_morphism(stream, square.obj, probe.obj)
         return tuple(_cone(u, legs, False)), u
 
-    return _universal(m, suite, "pushout", _pushout_factor, square.obj, legs, shape, targets, draw)
+    return _universal(m, suite, "pushout", _pushout_factor, square.obj, legs, draw, shape, targets)
 
 
 def pushout_mutants(m: po.PreOrdMor):
@@ -622,13 +621,11 @@ def verify_mon_torsion_theory(suite: ProbeSuite, torsion_ses=lambda m: mp.torsio
     stats = {}
     witnesses = []
     for universe in (po.ABELIAN, po.FINITE):
-        monoids = [(probe.name, probe.obj) for probe in pr.probes_for(universe)]
         group_pool = []
         reduced_pool = []
-        root = DetRng.from_seed(suite.seed).child("mon-torsion").child(universe)
-        for name, m in monoids:
+        for probe in pr.probes_for(universe):
+            name, m = probe.name, probe.obj
             ses = torsion_ses(m)
-            _bump(stats, "monoids")
             if not po.classify_object(ses.torsion).torsion:
                 witnesses.append(f"{name}: unit part is not a group")
             if not _same_cone(ses.torsion, _invertible_part(m)):
@@ -642,27 +639,23 @@ def verify_mon_torsion_theory(suite: ProbeSuite, torsion_ses=lambda m: mp.torsio
                 group_pool.append((name, m))
             if cls.torsion_free:
                 reduced_pool.append((name, m))
-            units_obj = mp.completion_object(ses.torsion)
-            reduced_obj = mp.completion_object(ses.torsion_free)
-            for tname, t in monoids:
-                h = pr.random_mon_morphism(root.child(f"{tname}->{name}"), t, m)
-                _bump(stats, "kernel-probes")
-                vanishes = po.is_z_trivial(po.compose_preord(h, ses.eta))
-                lift = _factor_through_mono((h,), units_obj, (ses.kappa,))
-                if lift is po.UNDECIDED:
-                    _bump(stats, "undecided")
-                elif vanishes and lift is None:
-                    witnesses.append(f"{name}: {tname} vanishes in the quotient but does not lift")
-                elif not vanishes and lift is not None:
-                    witnesses.append(f"{name}: {tname} lifts without vanishing in the quotient")
-                k = pr.random_mon_morphism(root.child(f"{name}->{tname}"), m, t)
-                _bump(stats, "cokernel-probes")
-                vanishes = po.is_z_trivial(po.compose_preord(ses.kappa, k))
-                desc = _factor_through_epi((k,), reduced_obj, (ses.eta,))
-                if vanishes and desc is None:
-                    witnesses.append(f"{name}: {tname} kills units but does not descend")
-                if not vanishes and desc is not None:
-                    witnesses.append(f"{name}: {tname} descends without killing units")
+            # a map into m lifts to the units exactly when it vanishes in the
+            # quotient, and one out of m descends exactly when it kills them
+            kernel = _universal(
+                ses.eta, suite, "mon-torsion", _factor_through_mono,
+                mp.completion_object(ses.torsion), (ses.kappa,),
+                lambda stream, t: ((pr.random_mon_morphism(stream, t.obj, m),), None),
+                cancels=lambda h: po.is_z_trivial(po.compose_preord(h, ses.eta)),
+            )
+            _fold(stats, witnesses, kernel, "kernel-", f"{name}: ")
+            cokernel = _universal(
+                ses.kappa, suite, "mon-torsion", _factor_through_epi,
+                mp.completion_object(ses.torsion_free), (ses.eta,),
+                lambda stream, t: ((pr.random_mon_morphism(stream, m, t.obj),), None),
+                cancels=lambda k: po.is_z_trivial(po.compose_preord(ses.kappa, k)),
+            )
+            _fold(stats, witnesses, cokernel, "cokernel-", f"{name}: ")
+        root = DetRng.from_seed(suite.seed).child("mon-torsion").child(universe)
         for gname, g in group_pool:
             for rname, r in reduced_pool:
                 h = pr.random_mon_morphism(root.child(f"zero-{gname}->{rname}"), g, r)
@@ -919,10 +912,7 @@ def _run(spec: ClaimSpec, seed: int, samples: int) -> Certificate:
     witnesses = []
     runs = 0
     for case in spec.cases(seed, samples):
-        found, counts = spec.check(*case)
-        witnesses += found
-        for label, n in counts.items():
-            _bump(stats, label, n)
+        _fold(stats, witnesses, spec.check(*case))
         if spec.mutants is None or runs >= _MUTATION_BUDGET:
             continue
         for kind, replacement in spec.mutants(*case):

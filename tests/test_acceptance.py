@@ -44,6 +44,8 @@ def test_criterion_1_relative_kernel_and_cokernel_formulas():
 def test_criterion_2_pretorsion_axioms():
     cert = v.run_claim("pretorsion")
     assert _stat(cert, "sequences") >= 14  # every probe decomposes
+    assert _stat(cert, "zker-sampled") > 0
+    assert _stat(cert, "zcok-sampled") > 0
     assert _stat(cert, "mutations") >= 1
     _conclude(2, [cert])
 
@@ -59,8 +61,8 @@ def test_criterion_3_trivial_morphism_characterization():
 
 def test_criterion_4_adjoint_triple():
     cert = v.run_claim("adjunction")
-    assert _stat(cert, "counit-factorizations") > 0
-    assert _stat(cert, "unit-factorizations") > 0
+    assert _stat(cert, "counit-sampled") > 0
+    assert _stat(cert, "unit-sampled") > 0
     assert _stat(cert, "mutations") >= 1
     _conclude(4, [cert])
 
@@ -79,6 +81,8 @@ def test_criterion_5_pullback_and_pushout_characterizations():
 
 def test_criterion_6_torsion_theory_in_nonneg_monoids():
     cert = v.run_claim("mon-torsion")
+    assert _stat(cert, "kernel-sampled") > 0
+    assert _stat(cert, "cokernel-sampled") > 0
     assert _stat(cert, "mutations") >= 1
     _conclude(6, [cert])
 

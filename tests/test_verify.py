@@ -288,6 +288,14 @@ class TestUndecided:
         monkeypatch.setattr(v, "_FACTOR_STATE_CAP", 0)
         assert check(PRJ, SUITE) == ([], stats)
 
+    def test_zero_budget_leaves_pretorsion_kernel_lifts_undecided(self, monkeypatch):
+        # kappa's lifts go through the same loop, so the same count applies
+        witnesses, settled = v.verify_pretorsion_axioms(SUITE)
+        assert witnesses == [] and "zker-undecided" not in settled
+        monkeypatch.setattr(v, "_FACTOR_STATE_CAP", 0)
+        witnesses, stats = v.verify_pretorsion_axioms(SUITE)
+        assert witnesses == [] and stats["zker-undecided"] > 0
+
 
 # Replacements for po.touched_unit_generators calling every cone generator
 # a unit, or none.
@@ -330,6 +338,25 @@ class TestCorruptedVerifiers:
         monkeypatch.setattr(po, "touched_unit_generators", touched)
         witnesses, _ = v.verify_p_torsion_theory_functor(v.default_suite(0))
         assert witnesses
+
+    def test_pretorsion_catches_a_kernel_leg_short_of_a_generator(self, monkeypatch):
+        # kappa without one torsion cone generator, on ZZ-halfplane alone, is
+        # no longer the Z-kernel of eta: a cone element eta kills does not lift
+        sequence = po.canonical_sequence
+        halfplane = next(p.obj for p in pr.probes_for(po.ABELIAN) if p.name == "ZZ-halfplane")
+
+        def short(obj):
+            seq = sequence(obj)
+            if obj != halfplane:
+                return seq
+            smaller = v._punctured(seq.torsion)
+            kappa = po.PreOrdMor(smaller, obj, seq.kappa.map)
+            return dataclasses.replace(seq, torsion=smaller, kappa=kappa)
+
+        monkeypatch.setattr(po, "canonical_sequence", short)
+        witnesses, _ = v.verify_pretorsion_axioms(SUITE)
+        assert caught_on(witnesses, "ZZ-halfplane")
+        assert any(w.endswith(": cone element (-1, 0) does not factor") for w in witnesses)
 
     @pytest.mark.parametrize("touched", WRONG_UNITS, ids=["all", "none"])
     @pytest.mark.parametrize(
