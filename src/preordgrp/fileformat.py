@@ -21,6 +21,12 @@ integers, "#" starts a comment:
     map <indices>           finite: image of every element in order
 
 Every printed block re-loads to a structurally equal entity.
+
+A table as `format_object` prints it is read from the rows that generate
+it: row g.w is row w read through row g, so only the rows that row 0 and
+the rows read so far do not reach are tokenized.  The rows stand if each
+of the n lines equals the printed text of its row, as the printed form is
+injective; on any other table `_ints` reads every row, in order.
 """
 
 from collections import deque
@@ -43,13 +49,14 @@ class Workspace:
 
 
 def _significant_lines(text: str):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            out.append((lineno, tokens))
-    return out
+    """(lineno, text before any "#") per line with a token, split when read."""
+    bodies = enumerate((raw.partition("#")[0] for raw in text.splitlines()), start=1)
+    return [(lineno, body) for lineno, body in bodies if body and not body.isspace()]
+
+
+def _tokens(cur: deque):
+    lineno, body = cur.popleft()
+    return lineno, body.split()
 
 
 def _ints(tokens, lineno, expected=None):
@@ -64,7 +71,7 @@ def _ints(tokens, lineno, expected=None):
 
 def _keyword_int(cur: deque, keyword: str, header_line: int):
     """(lineno, n) from the next line, which must read '<keyword> <n>'."""
-    lineno, tokens = cur.popleft() if cur else (header_line, [])
+    lineno, tokens = _tokens(cur) if cur else (header_line, [])
     if tokens[:1] != [keyword] or len(tokens) != 2:
         raise ParseError(f"expected '{keyword} <n>'", lineno)
     return lineno, _ints(tokens[1:], lineno, 1)[0]
@@ -75,40 +82,56 @@ def _parse_abelian_object(cur: deque, header_line: int):
     if rank < 0:
         raise ParseError("rank must be nonnegative", lineno)
     rels, cone = [], []
-    while cur and cur[0][1][0] in ("rel", "cone"):
-        lineno, tokens = cur.popleft()
+    while cur and cur[0][1].split(None, 1)[0] in ("rel", "cone"):
+        lineno, tokens = _tokens(cur)
         row = _ints(tokens[1:], lineno, rank)
         (rels if tokens[0] == "rel" else cone).append(row)
     return po.make_object(ab.make_group(rank, rels), cone)
+
+
+def _predicted_rows(lines, n: int, cap):
+    """The n table rows if each line prints as its predicted row, else None."""
+    if n > cap or len(lines) != n:
+        return None
+    if n <= 256:  # a row padded to 256 bytes is a translation table
+        as_row, pad, through = bytes, bytes(256 - n), bytes.translate
+    else:
+        as_row, pad, through = tuple, (), lambda row, g: itemgetter(*row)(g)
+    rows = [as_row(range(n))] + [None] * (n - 1)
+    known, gens = [0], []
+    for a in range(1, n):
+        if rows[a] is None:  # not reached: tokenize row a
+            try:
+                row = as_row(map(int, lines[a][1].split()))
+            except ValueError:  # a token int() refuses, or bytes() past 255
+                return None
+            if len(row) != n or row[0] != a or min(row) < 0 or max(row) >= n:
+                return None  # with a . 0 = a, the closure starts by filling row a
+            gens.append(row + pad)
+            new = len(known)
+            for i, w in enumerate(known):  # appended to while read
+                for g in gens if i >= new else gens[-1:]:
+                    x = g[w]  # g . w
+                    if rows[x] is None:
+                        rows[x] = through(rows[w], g)
+                        known.append(x)
+    return rows if [body for _, body in lines] == _row_texts(rows, n) else None
 
 
 def _parse_finite_object(cur: deque, header_line: int, cap):
     lineno, order = _keyword_int(cur, "order", header_line)
     if order < 1:
         raise ParseError("order must be positive", lineno)
-    if not cur or cur[0][1] != ["table"]:
+    if not cur or _tokens(cur)[1] != ["table"]:
         raise ParseError("expected 'table'", lineno)
-    cur.popleft()
-    # Fast path: a row of `order` canonical tokens "0" .. str(order - 1) maps
-    # through one lookup, to bytes up to order 256, else to a tuple; any other
-    # row ("07", "+3", "1_0", a bad token or length, an entry out of range)
-    # goes through _ints, so through int().  The lookup stops at the order
-    # cap, which make_finite_group enforces.
-    lookup = {str(a): a for a in range(min(order, cap))}
-    as_row = bytes if order <= 256 else tuple
-    rows = []
-    for _ in range(order):
-        if not cur:
-            raise ParseError(f"table needs {order} rows", lineno)
-        row_lineno, row_tokens = cur.popleft()
-        try:
-            row = as_row(map(lookup.__getitem__, row_tokens))
-        except KeyError:
-            row = ()
-        rows.append(row if len(row) == order else _ints(row_tokens, row_lineno, order))
+    # predicted rows, or else every row by _ints: make_finite_group checks either
+    lines = [cur.popleft() for _ in range(min(order, len(cur)))]
+    rows = _predicted_rows(lines, order, cap) or [_ints(b.split(), at, order) for at, b in lines]
+    if len(rows) < order:
+        raise ParseError(f"table needs {order} rows", lineno)
     cone = []
-    while cur and cur[0][1][0] == "cone":
-        lineno, tokens = cur.popleft()
+    while cur and cur[0][1].split(None, 1)[0] == "cone":
+        lineno, tokens = _tokens(cur)
         cone.extend(_ints(tokens[1:], lineno))
     return po.make_object(fg.make_finite_group(rows, cap), cone)
 
@@ -116,7 +139,7 @@ def _parse_finite_object(cur: deque, header_line: int, cap):
 def _parse_object(cur: deque, header_line: int, cap):
     if not cur:
         raise ParseError("expected 'universe abelian|finite'", header_line)
-    lineno, tokens = cur.popleft()
+    lineno, tokens = _tokens(cur)
     if tokens[0] != "universe" or len(tokens) != 2:
         raise ParseError("expected 'universe abelian|finite'", lineno)
     if tokens[1] == "abelian":
@@ -136,7 +159,7 @@ def _parse_morphism(cur: deque, header, header_line: int, ws: Workspace):
     dom, cod = ws.objects[dom_name], ws.objects[cod_name]
     if not cur:
         raise ParseError("expected 'matrix' or 'map ...'", header_line)
-    lineno, tokens = cur.popleft()
+    lineno, tokens = _tokens(cur)
     if tokens == ["matrix"]:
         if dom.universe != po.ABELIAN or cod.universe != po.ABELIAN:
             raise ParseError("'matrix' needs abelian endpoints", lineno)
@@ -146,7 +169,7 @@ def _parse_morphism(cur: deque, header, header_line: int, ws: Workspace):
         while len(rows) < dom.group.rank:
             if not cur:
                 raise ParseError(f"matrix needs {dom.group.rank} rows", lineno)
-            row_lineno, row_tokens = cur.popleft()
+            row_lineno, row_tokens = _tokens(cur)
             rows.append(_ints(row_tokens, row_lineno, cod.group.rank))
         mapping = rows
     elif tokens[0] == "map":
@@ -163,7 +186,7 @@ def parse_workspace(text: str, universe_cap: int = fg.ORDER_CAP) -> Workspace:
     ws = Workspace()
     cur = deque(_significant_lines(text))
     while cur:
-        lineno, tokens = cur.popleft()
+        lineno, tokens = _tokens(cur)
         if tokens[0] == "object":
             if len(tokens) != 2:
                 raise ParseError("expected 'object <name>'", lineno)
@@ -191,6 +214,12 @@ def _int_line(keyword: str, values) -> str:
     return keyword + " " + " ".join([str(v) for v in values])
 
 
+def _row_texts(rows, n: int) -> list:
+    """Rows of an order-n table as printed: entries joined by single spaces."""
+    names = [str(a) for a in range(n)]  # at n = 1 each gather below is "0"
+    return [" ".join(itemgetter(*row)(names)) for row in rows]
+
+
 def format_object(name: str, obj: po.PreOrdObj) -> str:
     lines = [f"object {name}"]
     if obj.universe == po.ABELIAN:
@@ -205,10 +234,7 @@ def format_object(name: str, obj: po.PreOrdObj) -> str:
         lines.append(f"order {obj.group.order}")
         lines.append("table")
         n, table = obj.group.order, obj.group.table
-        names = [str(a) for a in range(n)]
-        for i in range(0, n * n, n):
-            # one C-level gather per row; at n = 1 it returns the string "0"
-            lines.append(" ".join(itemgetter(*table[i : i + n])(names)))
+        lines += _row_texts((table[i : i + n] for i in range(0, n * n, n)), n)
         lines.append(_int_line("cone", sorted(obj.cone)))
     return "\n".join(lines)
 

@@ -63,17 +63,17 @@ class FiniteGroup:
     @cached_property
     def generators(self) -> tuple:
         """The greedy generating set described in the module docstring."""
-        gens, reached = [], {0}
+        gens, reached, seen = [], [0], {0}
         for a in range(self.order):
-            if a not in reached:
+            if a not in seen:
                 gens.append(a)
-                reached = _closure_set(self.table, self.order, gens)
+                seen = _closure_set(self.table, self.order, gens, reached, len(reached))
         return tuple(gens)
 
     @cached_property
     def element_orders(self) -> tuple:
         """The order of a is the size of the cyclic subgroup {0, a, a.a, ...}."""
-        return tuple(len(_closure_set(self.table, self.order, (a,))) for a in range(self.order))
+        return tuple(len(_closure_set(self.table, self.order, (a,), [0])) for a in range(self.order))
 
     @cached_property
     def generator_words(self) -> tuple:
@@ -99,18 +99,17 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _closure_set(table, order, gens):
-    """{0} closed under right multiplication by gens: every left-normed product."""
-    gens = set(gens)
-    out = {0}
-    frontier = [0]
-    while frontier:
-        row = frontier.pop() * order
-        for g in gens:
-            c = table[row + g]
+def _closure_set(table, order, gens, reached, old=0):
+    """Grow the list `reached`, [0] or an earlier closure, in place to its closure
+    under right multiplication by gens, and return it as a set.  Its first `old`
+    elements take only the last generator: the others were applied before."""
+    gens, out = list(dict.fromkeys(gens)), set(reached)  # gens in order, once each
+    for i, x in enumerate(reached):  # appended to while read
+        for g in gens if i >= old else gens[-1:]:
+            c = table[x * order + g]
             if c not in out:
                 out.add(c)
-                frontier.append(c)
+                reached.append(c)
     return out
 
 
@@ -246,7 +245,7 @@ def submonoid_closure(g: FiniteGroup, gens) -> frozenset:
     under the product, but callers that track cones only rely on the
     submonoid property.
     """
-    return frozenset(_closure_set(g.table, g.order, gens))
+    return frozenset(_closure_set(g.table, g.order, gens, [0]))
 
 
 def conjugation_witness(g: FiniteGroup, subset) -> tuple | None:

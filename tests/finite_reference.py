@@ -28,6 +28,24 @@ def _closure_set(table, order, seed):
     return out
 
 
+def greedy_generators(table, order) -> tuple:
+    """`FiniteGroup.generators` as first written: each new generator is the
+    least element outside {0} closed under right multiplication by the
+    earlier ones, that closure recomputed from {0} each time."""
+    gens, reached = [], {0}
+    for a in range(order):
+        if a not in reached:
+            gens.append(a)
+            reached, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    if table[x * order + g] not in reached:
+                        reached.add(table[x * order + g])
+                        frontier.append(table[x * order + g])
+    return tuple(gens)
+
+
 def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
     rows = [list(r) for r in rows]
     n = len(rows)

@@ -3,6 +3,7 @@
 import sys
 from pathlib import Path
 
+import fileformat_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
 S3, _ = fg.group_from_permutations([(1, 0, 2), (0, 2, 1)])
+GOLDEN = Path(__file__).parent / "golden"
+CLI_WORKSPACES = ("cli_readme.txt", "cli_twins.txt")  # what the CLI transcript reads
 
 
 def demo_workspace() -> ff.Workspace:
@@ -117,6 +120,43 @@ class TestRoundTrip:
         assert_same_workspace(ws, ff.parse_workspace(ff.format_workspace(ws)))
 
 
+def printed_finite_workspaces():
+    """(label, text) of every finite object the printer writes in the tests:
+    the finite catalogue, S4xC2xC5 and S4xA4, the workspaces the CLI
+    transcript reads, and the workspaces it prints."""
+    groups = [(name, g) for name, g in pr.finite_catalog()]
+    groups += [(name, fg.FiniteGroup(*gen.product_table(tuple(name.split("x")))))
+               for name in ("S4xC2xC5", "S4xA4")]
+    for name, group in groups:
+        ws = ff.Workspace()
+        ws.objects[name] = po.make_object(group, fg.normal_closure(group, [group.order - 1]))
+        yield name, ff.format_workspace(ws)
+    for name in CLI_WORKSPACES:
+        yield name, ff.format_workspace(ff.parse_workspace((GOLDEN / name).read_text()))
+    transcript = (GOLDEN / "cli_transcript.txt").read_text()
+    for i, block in enumerate(transcript.split("$ preordgrp ")[1:]):
+        _, code, out = block.split("\n", 2)
+        if code == "exit 0" and "universe finite" in out:
+            yield f"transcript block {i}", out.rstrip("\n") + "\n"
+
+
+def test_printed_tables_reload_through_the_predictor(monkeypatch):
+    # a spy, not a timing: a silent fall-back to int() on every row fails here
+    calls, predict = [], ff._predicted_rows
+
+    def spy(*args):
+        calls.append(predict(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ff, "_predicted_rows", spy)
+    for label, text in printed_finite_workspaces():
+        calls.clear()
+        ws = ff.parse_workspace(text)
+        finite = [obj for obj in ws.objects.values() if obj.universe == po.FINITE]
+        assert len(calls) == len(finite) and None not in calls, label
+        assert ff.format_workspace(ws) == text, label
+
+
 def c12_text(rows):
     """A C12 object whose table rows are the given token lists."""
     lines = ["object c", "universe finite", "order 12", "table"]
@@ -127,8 +167,8 @@ C12_ROWS = [[str((a + b) % 12) for b in range(12)] for a in range(12)]
 
 
 class TestTableTokens:
-    """Table rows of canonical tokens take a lookup; every other row is read
-    by int(), with its values and errors."""
+    """A table as printed is read from its generators' rows; in any other
+    table every row is read by int(), with its values and errors."""
 
     def test_other_spellings_load_the_same_group(self):
         rows = [row[:] for row in C12_ROWS]
@@ -167,7 +207,7 @@ class TestTableTokens:
         assert str(err.value) == f"table entry at (3, 4) is {entry}"
 
     def test_huge_order_fails_at_its_first_row(self):
-        # the lookup stops at the order cap, so the header alone allocates nothing
+        # the predictor refuses an order above the cap before it allocates
         text = "object c\nuniverse finite\norder 1000000000000\ntable\n0 1\n"
         with pytest.raises(ParseError) as err:
             ff.parse_workspace(text)
@@ -254,8 +294,7 @@ class TestValidationAtLoad:
 
 # --- fuzzing: token and line mutations of the golden workspace files ----------
 
-GOLDEN = Path(__file__).parent / "golden"
-SOURCES = [(GOLDEN / name).read_text() for name in ("cli_readme.txt", "cli_twins.txt")]
+SOURCES = [(GOLDEN / name).read_text() for name in CLI_WORKSPACES]
 KEYWORDS = (
     "object", "universe", "abelian", "finite", "rank", "rel", "cone", "order",
     "table", "morphism", ":", "->", "matrix", "map", "#",
@@ -308,3 +347,16 @@ class TestFuzz:
         except (ParseError, ValidationError, ResourceLimitError):
             return
         assert_same_workspace(ws, ff.parse_workspace(ff.format_workspace(ws)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_workspace())
+    def test_mutated_golden_files_read_as_the_reference_reads_them(self, text):
+        # the reader that tokenized every line loads the same workspace, or
+        # raises the same error at the same line
+        def outcome(parse):
+            try:
+                return ff.format_workspace(parse(text))
+            except (ParseError, ValidationError, ResourceLimitError) as exc:
+                return type(exc), str(exc), getattr(exc, "witness", None)
+
+        assert outcome(ff.parse_workspace) == outcome(ref.parse_workspace)

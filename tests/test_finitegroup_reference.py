@@ -11,7 +11,9 @@ not associative, so there the new triple only has to fail.  Normal
 closures, quotients and unit cones are compared with the reference
 constructions on every group of the probes' finite catalogue.  Tables up
 to order 256 and one above it, intact and corrupted, are also fed as bytes,
-tuple and list rows, which must all give the same outcome.
+tuple and list rows, which must all give the same outcome.  The greedy
+generating set, built by extending one closure, must equal the one that
+recomputes each closure from {0}.
 """
 
 import itertools
@@ -151,7 +153,7 @@ def test_finite_checks_match_reference(factors):
     for _ in range(6):
         subset = rng.sample(range(order), rng.randrange(order + 1))
         gens = rng.sample(range(order), rng.randrange(min(4, order + 1)))
-        assert fg._closure_set(table, order, gens) == ref._closure_set(table, order, gens)
+        assert fg._closure_set(table, order, gens, [0]) == ref._closure_set(table, order, gens)
         closed = fg.submonoid_closure(group, gens)
         assert closed == ref.submonoid_closure(group, gens)
         for s in (subset, closed, fg.normal_closure(group, gens)):
@@ -298,6 +300,31 @@ def corruptions(rng, group, rows):
         changed[r][c] = value
         out.append((name, changed))
     return [(name, changed) for name, changed in out if changed is not None]
+
+
+GENERATOR_PRODUCTS = random.Random("generators").sample(
+    [factors for order in range(61, 241) for factors in gen.factorizations(order)], 20
+) + random.Random("generators").sample(PRODUCTS, 10)
+
+
+@pytest.mark.parametrize("factors", GENERATOR_PRODUCTS, ids="x".join)
+def test_generators_extend_one_closure(factors):
+    """The greedy set equals the one that recomputes each closure from {0},
+    on seeded product groups and on copies with one entry changed (any
+    table with an identity, as make_finite_group asks before validating)."""
+    order, table = gen.product_table(factors)
+    rng = random.Random(f"generators:{'x'.join(factors)}")
+    tables = [table]
+    for _ in range(3):
+        a, b = rng.randrange(1, order), rng.randrange(1, order)
+        tables.append(table[: a * order + b] + (rng.randrange(order),) + table[a * order + b + 1 :])
+    for t in tables:
+        assert fg.FiniteGroup(order, t).generators == ref.greedy_generators(t, order)
+
+
+def test_catalogue_generators_extend_one_closure():
+    for name, group in pr.finite_catalog():
+        assert group.generators == ref.greedy_generators(group.table, group.order), name
 
 
 ROW_FORM_ORDERS = sorted(
