@@ -1,9 +1,10 @@
 """Finite groups given by Cayley tables.
 
-Elements are 0..order-1 with 0 the identity; table[a * order + b] is a * b.
-Subgroups, normal closures, and quotients all return groups whose element 0
-is again the identity (subgroup elements keep ambient order, coset
-representatives are coset minima).
+Elements are 0..order-1 with 0 the identity; table[a * order + b] is a * b,
+held in `bytes` up to order 256 and in a tuple of ints above, whatever
+`FiniteGroup` is given.  Subgroups, normal closures, and quotients all
+return groups whose element 0 is again the identity (subgroup elements keep
+ambient order, coset representatives are coset minima).
 
 `FiniteGroup.generators` is a greedy generating set: each generator is the
 least element not reached from 0 by right multiplication by the earlier
@@ -14,9 +15,8 @@ each element over them.  Three checks run on the generators alone:
   contain 0 and are closed under the product, (a(gh))c = ((ag)h)c =
   (ag)(hc) = a(g(hc)) = a((gh)c), without assuming associativity.  Once
   they hold the generators they hold every element.  Row a.g must equal
-  row g read through row a: up to order 256 the rows are bytes and one
-  bytes.translate reads row g through row a padded to 256 bytes; above
-  that, where entries no longer fit a byte, an itemgetter over row g
+  row g read through row a: up to order 256 one bytes.translate reads row
+  g through row a padded to 256 bytes; above that an itemgetter over row g
   gathers from the tuple row a.
 - Homomorphisms: f(ag) = f(a)f(g) for all a and for g = 0 and each
   generator gives f(0) = 0 and, by induction on the word length of b = b'g,
@@ -25,9 +25,9 @@ each element over them.  Three checks run on the generators alone:
   the product, as (xy)S(xy)^-1 = x(ySy^-1)x^-1.
 
 `make_finite_group` checks entry types and ranges on the whole table, then
-the group axioms: identity, Light's test, and a 0 in every row.  The type
-check skips bytes rows, which the parser builds up to order 256: their
-entries are ints by construction.  Right inverses are two-sided in a
+the group axioms: identity, Light's test, and a 0 in every row.  The bytes
+rows the parser builds up to order 256 are joined, and one bytes.translate
+deleting 0..n-1 checks their range.  Right inverses are two-sided in a
 finite monoid (a . b = 0 makes x -> b . x injective, so b . c = 0 for some
 c, and a = (a . b) . c = c), so the table is a group's, where a . x = b and
 x . a = b have the one solutions a^-1 . b and b . a^-1: a Latin square.
@@ -50,7 +50,10 @@ ORDER_CAP = 512
 @dataclass(frozen=True)
 class FiniteGroup:
     order: int
-    table: tuple  # row-major, table[a * order + b] = a . b
+    table: bytes | tuple  # row-major, table[a * order + b] = a . b
+
+    def __post_init__(self):  # bytes(b) is b and tuple(t) is t: no copy of a converted table
+        object.__setattr__(self, "table", (bytes if self.order <= 256 else tuple)(self.table))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a * self.order + b]
@@ -113,16 +116,12 @@ def _closure_set(table, order, gens, reached, old=0):
     return out
 
 
-def _light_witness(rows, gens):
+def _light_witness(table, n, gens):
     """The first (a, g, c) with (a . g) . c != a . (g . c), or None."""
-    n = len(rows)
-    if n > 256:
-        rows = maps = [tuple(r) for r in rows]  # no byte rows: entries reach 256
-    else:  # row a padded to 256 bytes is a translation table
-        rows = [bytes(r) for r in rows]
-        maps = [r + bytes(256 - n) for r in rows]
+    rows = [table[i : i + n] for i in range(0, n * n, n)]
+    maps = rows if n > 256 else [r + bytes(256 - n) for r in rows]  # translation tables
     for g in gens:
-        times_g = rows[g].translate if n <= 256 else itemgetter(*rows[g])
+        times_g = itemgetter(*rows[g]) if n > 256 else rows[g].translate
         for a in range(n):
             if rows[rows[a][g]] != times_g(maps[a]):
                 c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][rows[g][c]])
@@ -137,9 +136,12 @@ def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
         raise ValidationError("empty multiplication table")
     if n > cap:
         raise ResourceLimitError(f"group order {n} exceeds cap {cap}")
-    flat = tuple(chain.from_iterable(rows))
-    unsure = chain.from_iterable(r for r in rows if not isinstance(r, bytes))
-    well_typed = {int}.issuperset(map(type, unsure)) and set(range(n)).issuperset(flat)
+    if n <= 256 and all(isinstance(r, bytes) for r in rows):
+        flat = b"".join(rows)
+        well_typed = not flat.translate(None, bytes(range(n)))  # every entry below n
+    else:
+        flat = tuple(chain.from_iterable(rows))
+        well_typed = {int}.issuperset(map(type, flat)) and set(range(n)).issuperset(flat)
     if not well_typed or set(map(len, rows)) != {n}:
         for a, row in enumerate(rows):
             if len(row) != n:
@@ -153,7 +155,7 @@ def make_finite_group(rows, cap: int = ORDER_CAP) -> FiniteGroup:
         if flat[a * n] != a:
             raise ValidationError(f"0 is not a right identity: {a} . 0 = {flat[a * n]}")
     group = FiniteGroup(n, flat)
-    witness = _light_witness(rows, group.generators)
+    witness = _light_witness(group.table, n, group.generators)
     if witness is None and all(0 in row for row in rows):
         return group  # a group table, so a Latin square (module docstring)
     for a in range(n):

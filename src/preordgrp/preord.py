@@ -403,7 +403,7 @@ class _FiniteBackend:
         return fg.make_fin_morphism(g, h, mapping)
 
     def key_data(self, obj):
-        return ("f", obj.group.order, obj.group.table, tuple(sorted(obj.cone)))
+        return ("f", obj.group.order, tuple(obj.group.table), tuple(sorted(obj.cone)))
 
     def map_data(self, f):
         return f.mapping

@@ -3,10 +3,14 @@
 Every draw hashes the stream key and a counter, so results depend only on
 the seed and the labels along the path to the stream, never on how many
 draws a sibling stream made.  That keeps sampled checks byte-for-byte
-reproducible even when parts of a run are skipped.
+reproducible even when parts of a run are skipped.  BLAKE2b comes from the
+built-in `_blake2`; `hashlib` re-exports it, but loads OpenSSL (3.5 MB) too.
 """
 
-import hashlib
+try:
+    from _blake2 import blake2b
+except ImportError:  # a Python built without it
+    from hashlib import blake2b
 
 
 class DetRng:
@@ -22,9 +26,12 @@ class DetRng:
         return DetRng(f"{self.key}/{label}")
 
     def _next(self) -> int:
-        word = f"{self.key}#{self._n}".encode()
+        if self._n == 0:  # hash the key once; each draw copies that state
+            self._keyed = blake2b(f"{self.key}#".encode(), digest_size=8)
+        word = self._keyed.copy()
+        word.update(b"%d" % self._n)
         self._n += 1
-        return int.from_bytes(hashlib.blake2b(word, digest_size=8).digest(), "big")
+        return int.from_bytes(word.digest(), "big")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform over the inclusive range."""

@@ -41,7 +41,6 @@ cone-containing subgroups.  `completion` fails a finite cone that lacks
 an inverse of one of its elements before building its completion.
 """
 
-import hashlib
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import product
@@ -60,7 +59,7 @@ from .intmat import (
     vec_dot,
     vec_sub,
 )
-from .rng import DetRng
+from .rng import DetRng, blake2b
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def _fold(stats: dict, witnesses: list, result, prefix: str = "", tag: str = "")
 
 
 def _digest(data) -> str:
-    return hashlib.blake2b(repr(data).encode(), digest_size=5).hexdigest()
+    return blake2b(repr(data).encode(), digest_size=5).hexdigest()
 
 
 def _obj_key(obj: po.PreOrdObj) -> str:

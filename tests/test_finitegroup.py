@@ -1,7 +1,10 @@
 """Cayley-table groups: validation, closures, quotients."""
 
+from functools import reduce
+
 import pytest
 
+from preordgrp import fileformat as ff
 from preordgrp import finitegroup as fg
 from preordgrp import preord as po
 from preordgrp import probes as pr
@@ -181,3 +184,47 @@ class TestGeneratorWords:
                 for i in word:
                     y = g.mul(y, g.generators[i])
                 assert y == x, (name, x, word)
+
+
+def cycle_generators(lengths):
+    """Permutations generating C_l1 x C_l2 x ...: one cycle per factor, on
+    disjoint points.  Sorted, the closure's elements run in the mixed radix
+    of product_group, so it has the same table."""
+    perms, start = [], 0
+    for length in lengths:
+        perm = list(range(sum(lengths)))
+        perm[start : start + length] = [start + (i + 1) % length for i in range(length)]
+        perms.append(tuple(perm))
+        start += length
+    return perms
+
+
+TABLE_FACTORS = {
+    1: (1,), 2: (2,), 24: (8, 3), 255: (3, 5, 17), 256: (16, 16), 257: (257,), 384: (8, 16, 3)
+}
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_FACTORS))
+def test_every_construction_gives_one_table(order):
+    """Each constructor gives the one table type of its order, bytes up to
+    256 and a tuple of ints above, so its groups compare and hash alike."""
+    factors = TABLE_FACTORS[order]
+    group = reduce(fg.product_group, map(fg.cyclic_group, factors))
+    n = group.order
+    rows = [group.table[i : i + n] for i in range(0, n * n, n)]
+    forms = [[tuple(r) for r in rows], [list(r) for r in rows]]
+    forms += [[bytes(r) for r in rows]] if n <= 256 else []
+    printed = ff.format_object("G", po.make_object(group, ()))
+    built = [
+        fg.group_from_permutations(cycle_generators(factors))[0],
+        fg.product_group(group, fg.cyclic_group(1)),
+        fg.subgroup_from_set(group, range(n))[0],
+        fg.quotient_by_normal(group, {0})[0],
+        ff.parse_workspace(printed).objects["G"].group,
+        *map(fg.make_finite_group, forms),
+    ]
+    cyclic = fg.cyclic_group(order)
+    built += [cyclic, fg.product_group(cyclic, fg.cyclic_group(1))] if factors == (order,) else []
+    for other in built:
+        assert other == group and hash(other) == hash(group)
+        assert type(other.table) is type(group.table) is (bytes if n <= 256 else tuple)

