@@ -77,7 +77,6 @@ class IntMatrix:
         return IntMatrix(len(rows), cols, flat)
 
     @staticmethod
-    @lru_cache(maxsize=256)  # shared: preord.cone_certificate compares cones with it
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 

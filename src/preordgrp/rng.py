@@ -7,10 +7,7 @@ reproducible even when parts of a run are skipped.  BLAKE2b comes from the
 built-in `_blake2`; `hashlib` re-exports it, but loads OpenSSL (3.5 MB) too.
 """
 
-try:
-    from _blake2 import blake2b
-except ImportError:  # a Python built without it
-    from hashlib import blake2b
+from _blake2 import blake2b
 
 
 class DetRng:
@@ -26,12 +23,9 @@ class DetRng:
         return DetRng(f"{self.key}/{label}")
 
     def _next(self) -> int:
-        if self._n == 0:  # hash the key once; each draw copies that state
-            self._keyed = blake2b(f"{self.key}#".encode(), digest_size=8)
-        word = self._keyed.copy()
-        word.update(b"%d" % self._n)
+        word = f"{self.key}#{self._n}".encode()
         self._n += 1
-        return int.from_bytes(word.digest(), "big")
+        return int.from_bytes(blake2b(word, digest_size=8).digest(), "big")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform over the inclusive range."""

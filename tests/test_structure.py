@@ -2,14 +2,11 @@
 
 import ast
 import dataclasses
-import importlib.util
 import os
 import pathlib
 import re
 import subprocess
 import sys
-
-import pytest
 
 import preordgrp
 from preordgrp import preord as po
@@ -26,7 +23,7 @@ DISPATCH_CAP = 16
 
 # Lines in the package's source files, which ROADMAP.md measures progress
 # by; like DISPATCH_CAP, lower it when a change removes more.
-SRC_LINE_CAP = 3932
+SRC_LINE_CAP = 3925
 
 
 def _identifiers(tree):
@@ -69,30 +66,18 @@ def test_source_lines_stay_within_their_cap():
 
 
 def test_no_module_imports_hashlib():
-    # hashlib loads OpenSSL's libcrypto; BLAKE2b comes from _blake2, and
-    # hashlib only in the ImportError handler that falls back to it
+    # hashlib loads OpenSSL's libcrypto; BLAKE2b comes from _blake2
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        fallback = {
-            id(node)
-            for handler in ast.walk(tree)
-            if isinstance(handler, ast.ExceptHandler)
-            and isinstance(handler.type, ast.Name)
-            and handler.type.id == "ImportError"
-            for node in ast.walk(handler)
-        }
         offenders += [
             f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
+            for node in ast.walk(ast.parse(path.read_text()))
             if (isinstance(node, ast.Import) and "hashlib" in [a.name for a in node.names])
             or (isinstance(node, ast.ImportFrom) and node.module == "hashlib")
-            if id(node) not in fallback
         ]
     assert offenders == []
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_blake2") is None, reason="no built-in BLAKE2")
 def test_a_process_never_loads_hashlib():
     code = "\n".join([
         "import sys",
